@@ -63,10 +63,7 @@ from .manifolds import (
     Sphere2,
     Sphere3,
     Spheroid,
-    geodesic_direct,
-    geodesic_distance,
     manifold_from_json,
-    sample_point,
 )
 from .sprinkle import build_annulus_graph, min_connection_length, sprinkle
 from .wolfram import ball_profile, estimate_wolfram, wolfram_ricci_K

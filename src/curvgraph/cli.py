@@ -1,16 +1,15 @@
 """Command-line entry point for all experiments.
 
 Every subcommand takes a 64-bit ``--seed`` and is fully deterministic:
-worker sub-streams are derived from (seed, stream index), so output is
-byte-identical across runs and across ``--threads`` settings.  Results are
-data only (JSON on stdout, optional CSV files); errors exit nonzero with a
-JSON object on stderr.
+random sub-streams are derived from (seed, stream index), so output is
+byte-identical across runs.  ``--threads`` is still accepted and has no
+effect: all work runs serially.  Results are data only (JSON on stdout,
+optional CSV files); errors exit nonzero with a JSON object on stderr.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -113,7 +112,7 @@ def _cmd_curvature(args):
         return
     rep = estimate_curvature(
         gg.graph, l_e, args.samples, s_min_hops=args.smin, s_max_hops=args.smax,
-        rng=rng, max_length_scale=args.max_length, threads=args.threads,
+        rng=rng, max_length_scale=args.max_length,
     )
     if args.csv:
         rep.write_csv(args.csv)
@@ -131,7 +130,7 @@ def _cmd_converge(args):
     manifold = _parse_manifold(args.manifold)
     counts = [int(c) for c in args.counts.split(",") if c]
     points = run_sweep(manifold, args.true_k, counts, args.seeds_per, args.samples,
-                       master_seed=args.seed, threads=args.threads)
+                       master_seed=args.seed)
     if args.csv:
         sweep_csv(points, args.csv)
     _emit(sweep_report(points, args.true_k))
@@ -182,8 +181,8 @@ def build_parser():
     def add_common(p, threads=False):
         p.add_argument("--seed", type=int, required=True, help="64-bit master seed")
         if threads:
-            p.add_argument("--threads", type=int, default=os.cpu_count(),
-                           help="worker cap; results are invariant to it")
+            p.add_argument("--threads", type=int, default=None,
+                           help="accepted for compatibility; has no effect (runs are serial)")
 
     p = sub.add_parser("sprinkle", help="build an annulus random geometric graph")
     p.add_argument("--manifold", required=True, help="manifold JSON or a file path")

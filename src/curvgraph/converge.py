@@ -65,7 +65,7 @@ def linear_fit(xs, ys):
 
 
 def run_sweep(manifold, true_k, vertex_counts, seeds_per_count, samples_per_graph,
-              master_seed, p=DEFAULT_TOLERANCE, threads=1):
+              master_seed, p=DEFAULT_TOLERANCE):
     """ConvergencePoint per vertex count, pooling samples across seeds.
 
     Per-graph failures (no connected length, too few accepted samples) are
@@ -84,8 +84,7 @@ def run_sweep(manifold, true_k, vertex_counts, seeds_per_count, samples_per_grap
                 gg = sprinkle(manifold, n, p, rng=stream)
                 rep = distortion_report(gg, rng=stream)
                 cur = estimate_curvature(
-                    gg.graph, rep.effective_edge_length, samples_per_graph,
-                    rng=stream, threads=threads,
+                    gg.graph, rep.effective_edge_length, samples_per_graph, rng=stream,
                 )
             except CurvGraphError:
                 failures += 1

@@ -20,7 +20,7 @@ triangles.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import (
     TooFewAccepted,
     TriangleInequalityViolated,
 )
-from .graphs import UNREACHABLE, bfs_hops, diameter_estimate
+from .graphs import bfs_hops, diameter_estimate, is_connected
 from .rng import chunk_ranges
 
 _FLAT_REL_TOL = 1e-12     # |a^2+b^2-c^2| below this (relative to c^2) is flat
@@ -279,51 +279,39 @@ def sample_triangle(g, l_e, s_min_hops, s_max_hops, rng, retries=64, apex=None):
 
 def _collect_chunk(g, l_e, count, s_min, s_max, rng, max_length_scale, apex=None):
     ks = []
-    rejected = {}
-
-    def reject(reason):
-        rejected[reason] = rejected.get(reason, 0) + 1
-
+    rejected = Counter()
     for _ in range(count):
         try:
             tri = sample_triangle(g, l_e, s_min, s_max, rng, apex=apex)
         except NoCandidate:
-            reject("no_candidate")
+            rejected["no_candidate"] += 1
             continue
         if max_length_scale is not None and max(tri.sides()) > max_length_scale:
-            reject("max_length_scale")
+            rejected["max_length_scale"] += 1
             continue
         try:
             ks.append(curvature_from_triangle(*tri.sides()))
         except TriangleInequalityViolated:
-            reject("triangle_inequality")
+            rejected["triangle_inequality"] += 1
         except RootNotFound:
-            reject("root_not_found")
+            rejected["root_not_found"] += 1
     return ks, rejected
 
 
-def _merge_rejections(parts):
-    total = {}
-    for part in parts:
-        for reason, count in part.items():
-            total[reason] = total.get(reason, 0) + count
-    return total
-
-
 def estimate_curvature(g, l_e, n_samples, s_min_hops=None, s_max_hops=None,
-                       rng=None, max_length_scale=None, threads=1):
+                       rng=None, max_length_scale=None):
     """Curvature report over ``n_samples`` triangle draws.
 
     Draws are split into fixed-size chunks, each with its own random
-    sub-stream spawned from ``rng``, and merged in chunk order: the result
-    is bit-identical for any thread count.  Samples whose construction or
-    root solve fails are tallied by reason, not propagated.
+    sub-stream spawned from ``rng``, and merged in chunk order, so the
+    result depends only on ``rng`` and the arguments.  Samples whose
+    construction or root solve fails are tallied by reason, not propagated.
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
-    if np.any(bfs_hops(g, 0) == UNREACHABLE):
+    if not is_connected(g):
         raise Disconnected("curvature estimation requires a connected graph")
     if s_min_hops is None or s_max_hops is None:
         d_min, d_max = default_hop_window(g, rng)
@@ -332,23 +320,17 @@ def estimate_curvature(g, l_e, n_samples, s_min_hops=None, s_max_hops=None,
 
     chunks = chunk_ranges(n_samples)
     streams = rng.spawn(len(chunks))
-    jobs = [
-        (g, l_e, hi - lo, s_min_hops, s_max_hops, streams[i], max_length_scale)
-        for i, (lo, hi) in enumerate(chunks)
-    ]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda args: _collect_chunk(*args), jobs))
-    else:
-        results = [_collect_chunk(*args) for args in jobs]
-
-    ks = [k for part, _ in results for k in part]
-    rejected = _merge_rejections([rej for _, rej in results])
+    ks, rejected = [], Counter()
+    for (lo, hi), stream in zip(chunks, streams):
+        part, rej = _collect_chunk(g, l_e, hi - lo, s_min_hops, s_max_hops, stream,
+                                   max_length_scale)
+        ks.extend(part)
+        rejected.update(rej)
     needed = max(10, n_samples / 100)
     if len(ks) < needed:
         raise TooFewAccepted(
             f"{len(ks)} of {n_samples} samples accepted, below the minimum of "
-            f"{needed:g} for a meaningful report (rejections: {rejected})"
+            f"{needed:g} for a meaningful report (rejections: {dict(rejected)})"
         )
     return CurvatureReport.from_samples(ks, rejected)
 

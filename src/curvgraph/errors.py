@@ -5,6 +5,10 @@ class CurvGraphError(Exception):
     """Base class for all curvgraph errors."""
 
 
+class InvalidInput(CurvGraphError, ValueError):
+    """A file or JSON argument does not have the documented form."""
+
+
 class SpheroidNonConvergence(CurvGraphError):
     """The iterative inverse geodesic failed (typically a near-antipodal pair)."""
 

@@ -15,6 +15,7 @@ sampling reproduces exactly the uniform distribution over the enumerated
 quadruples.
 """
 
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,15 @@ from .graphs import Graph
 _MAX_LEVEL = 12          # construction memory guard
 _MAX_ALLPAIRS_LEVEL = 6  # enumeration / sampling need all-pairs distances
 _STALL_LIMIT = 10**6
+_BLOCK = 1 << 14         # hop-row cells or candidates expanded at once (memory bound)
+
+
+# Even-base pairs with their midpoint and apex lists, as int32 CSR.  Pair k
+# is (v[k], w[k]), v < w, at hop distance 2 half[k]; its midpoints are
+# mids[mid_ptr[k]:mid_ptr[k + 1]] and its equidistant apexes
+# apexes[apex_ptr[k]:apex_ptr[k + 1]], each in ascending vertex order.  Pairs
+# run in row-major order of the upper triangle.
+PairTable = namedtuple("PairTable", "v w half mid_ptr mids apex_ptr apexes")
 
 
 @dataclass
@@ -37,6 +47,7 @@ class SierpinskiGraph:
 
     def __post_init__(self):
         self._hops = None
+        self._pairs = None
 
     def all_hops(self):
         """Exact all-pairs hop distances (cached); levels <= 6 only."""
@@ -48,6 +59,12 @@ class SierpinskiGraph:
             d = dijkstra(self.graph._csr, directed=False, unweighted=True)
             self._hops = d.astype(np.int32)
         return self._hops
+
+    def pair_table(self):
+        """The even-base pair table (cached); levels <= 6 only."""
+        if self._pairs is None:
+            self._pairs = _build_pair_table(self.all_hops())
+        return self._pairs
 
 
 def sierpinski_graph(level):
@@ -83,10 +100,63 @@ def sierpinski_graph(level):
     return SierpinskiGraph(level=level, graph=graph, corner_vertices=corners)
 
 
-def _even_base_pairs(hops):
-    """Upper-triangle (v, w) pairs with even hop distance >= 2."""
-    iu, ju = np.nonzero(np.triu((hops % 2 == 0) & (hops >= 2), 1))
-    return iu, ju
+def _build_pair_table(hops):
+    """The one place that finds each even-base pair's midpoints and apexes.
+
+    Every even base has a shortest-path midpoint, and a midpoint is itself
+    an apex, so no pair has an empty list.
+    """
+    v, w = np.nonzero(np.triu((hops % 2 == 0) & (hops >= 2), 1))
+    half = hops[v, w] // 2
+    step = max(1, _BLOCK // len(hops))
+
+    def masks(select):
+        for s in range(0, v.size, step):
+            b = slice(s, s + step)
+            yield s, select(hops[v[b]], hops[w[b]], half[b, None])
+
+    def lists(select):
+        # counts first, then each block's columns in place: no list is copied
+        ptr = np.zeros(v.size + 1, dtype=np.int32)
+        for s, mask in masks(select):
+            ptr[s + 1:s + 1 + len(mask)] = np.count_nonzero(mask, axis=1)
+        np.cumsum(ptr, out=ptr)
+        cols = np.empty(ptr[-1], dtype=np.int32)
+        for s, mask in masks(select):
+            cols[ptr[s]:ptr[s + len(mask)]] = np.nonzero(mask)[1]
+        return ptr, cols
+
+    return PairTable(v.astype(np.int32), w.astype(np.int32), half.astype(np.int32),
+                     *lists(lambda dv, dw, h: (dv == h) & (dw == h)),
+                     *lists(lambda dv, dw, h: dv == dw))
+
+
+def _quadruples(sg):
+    """Valid (pair k, apex u, midpoint m, hops a, b, c) rows, as array blocks.
+
+    Expands about _BLOCK candidates at a time, by pair, then apex, then midpoint.
+    """
+    t, hops = sg.pair_table(), sg.all_hops()
+    n_mid = np.diff(t.mid_ptr)
+    cand = n_mid * np.diff(t.apex_ptr)
+    ends = np.cumsum(cand)
+    starts = ends - cand
+    k0 = 0
+    while k0 < t.v.size:
+        k1 = max(k0 + 1, int(np.searchsorted(ends, starts[k0] + _BLOCK, side="right")))
+        k = np.repeat(np.arange(k0, k1, dtype=np.int32), cand[k0:k1])
+        rank = np.arange(starts[k0], ends[k1 - 1]) - starts[k]
+        u = t.apexes[t.apex_ptr[k] + rank // n_mid[k]]
+        m = t.mids[t.mid_ptr[k] + rank % n_mid[k]]
+        a, b, c = hops[u, m], t.half[k], hops[t.v[k], u]
+        ok = (a >= 1) & (a < b + c) & (b < a + c) & (c < a + b)
+        yield k[ok], u[ok], m[ok], a[ok], b[ok], c[ok]
+        k0 = k1
+
+
+def _triangle(a, b, c, u, v, w, m):
+    return TriangleSample(a=float(a), b=float(b), c=float(c), apex=u, base_end1=v,
+                          base_end2=w, midpoint=m, hops=(a, b, c))
 
 
 def enumerate_fractal_triangles(sg):
@@ -96,33 +166,9 @@ def enumerate_fractal_triangles(sg):
     midpoint (all qualifying midpoints enumerated), a = d(u,m) >= 1, and
     strict triangle inequalities on (a, b, c) in unit edge lengths.
     """
-    hops = sg.all_hops()
-    out = []
-    iu, ju = _even_base_pairs(hops)
-    for v, w in zip(iu.tolist(), ju.tolist()):
-        dv, dw = hops[v], hops[w]
-        half = int(dv[w]) // 2
-        mids = np.nonzero((dv == half) & (dw == half))[0]
-        apexes = np.nonzero(dv == dw)[0]
-        if mids.size == 0 or apexes.size == 0:
-            continue
-        a_grid = hops[np.ix_(apexes, mids)]
-        c_vals = dv[apexes]
-        ok = (
-            (a_grid >= 1)
-            & (a_grid < half + c_vals[:, None])
-            & (half < a_grid + c_vals[:, None])
-            & (c_vals[:, None] < a_grid + half)
-        )
-        ai, mi = np.nonzero(ok)
-        for i, j in zip(ai.tolist(), mi.tolist()):
-            u, m = int(apexes[i]), int(mids[j])
-            out.append(TriangleSample(
-                a=float(a_grid[i, j]), b=float(half), c=float(c_vals[i]),
-                apex=u, base_end1=int(v), base_end2=int(w), midpoint=m,
-                hops=(int(a_grid[i, j]), half, int(c_vals[i])),
-            ))
-    return out
+    t = sg.pair_table()
+    return [_triangle(*row) for k, u, m, a, b, c in _quadruples(sg)
+            for row in zip(*(x.tolist() for x in (a, b, c, u, t.v[k], t.w[k], m)))]
 
 
 def enumerate_fractal_triangle_counts(sg):
@@ -132,52 +178,15 @@ def enumerate_fractal_triangle_counts(sg):
     without materializing per-quadruple samples; levels 5-6 produce
     millions of quadruples but only a few thousand distinct shapes.
     """
-    hops = sg.all_hops()
-    side = int(2 ** sg.level) + 1  # strict upper bound on any hop distance + 1
-    totals = {}
-    iu, ju = _even_base_pairs(hops)
-    for v, w in zip(iu.tolist(), ju.tolist()):
-        dv, dw = hops[v], hops[w]
-        half = int(dv[w]) // 2
-        mids = np.nonzero((dv == half) & (dw == half))[0]
-        apexes = np.nonzero(dv == dw)[0]
-        if mids.size == 0 or apexes.size == 0:
-            continue
-        a_grid = hops[np.ix_(apexes, mids)].astype(np.int64)
-        c_vals = dv[apexes].astype(np.int64)
-        ok = (
-            (a_grid >= 1)
-            & (a_grid < half + c_vals[:, None])
-            & (half < a_grid + c_vals[:, None])
-            & (c_vals[:, None] < a_grid + half)
-        )
-        if not ok.any():
-            continue
-        encoded = (a_grid + c_vals[:, None] * 2 * side)[ok]
-        keys, counts = np.unique(encoded, return_counts=True)
-        for key, cnt in zip(keys.tolist(), counts.tolist()):
-            abc = (key % (2 * side), half, key // (2 * side))
-            totals[abc] = totals.get(abc, 0) + cnt
-    return totals
-
-
-def _pair_tables(sg):
-    """Per even-base pair: midpoint and apex candidate counts.
-
-    Candidate counts (not valid-quadruple counts) drive the acceptance
-    correction that makes pair-first sampling uniform over quadruples.
-    """
-    hops = sg.all_hops()
-    iu, ju = _even_base_pairs(hops)
-    mcount = np.empty(iu.size, dtype=np.int64)
-    ucount = np.empty(iu.size, dtype=np.int64)
-    for k in range(iu.size):
-        dv, dw = hops[iu[k]], hops[ju[k]]
-        half = int(dv[ju[k]]) // 2
-        mcount[k] = int(np.count_nonzero((dv == half) & (dw == half)))
-        ucount[k] = int(np.count_nonzero(dv == dw))
-    keep = (mcount > 0) & (ucount > 0)
-    return hops, iu[keep], ju[keep], mcount[keep], ucount[keep]
+    side = 2**sg.level + 1  # every hop distance is below this
+    totals = np.zeros(side**3, dtype=np.int64)
+    for _, _, _, a, b, c in _quadruples(sg):
+        block = np.bincount((a * side + b) * side + c)
+        totals[:block.size] += block
+    keys = np.nonzero(totals)[0]
+    shapes = zip((keys // side**2).tolist(), (keys // side % side).tolist(),
+                 (keys % side).tolist())
+    return dict(zip(shapes, totals[keys].tolist()))
 
 
 def sample_fractal_triangles(sg, m, rng):
@@ -188,8 +197,7 @@ def sample_fractal_triangles(sg, m, rng):
     to the pair's candidate-set product so that every quadruple is equally
     likely; draws failing the validity conditions are retried.
     """
-    counts, samples = _sample_impl(sg, m, rng, keep_samples=True)
-    return samples
+    return _sample_impl(sg, m, rng, keep_samples=True)[1]
 
 
 def sample_fractal_triangle_counts(sg, m, rng):
@@ -197,23 +205,24 @@ def sample_fractal_triangle_counts(sg, m, rng):
 
     Constant-memory variant for large m.
     """
-    counts, _ = _sample_impl(sg, m, rng, keep_samples=False)
-    return counts
+    return _sample_impl(sg, m, rng, keep_samples=False)[0]
 
 
 def _sample_impl(sg, m, rng, keep_samples):
-    hops, pv, pw, mcount, ucount = _pair_tables(sg)
-    if pv.size == 0:
+    t, hops = sg.pair_table(), sg.all_hops()
+    if t.v.size == 0:
         raise SamplingStalled("no even-base pairs exist at this level")
-    weight = mcount.astype(np.float64) * ucount.astype(np.float64)
+    n_mid, n_apex = np.diff(t.mid_ptr), np.diff(t.apex_ptr)
+    # candidate-set products, not valid counts, make draws uniform over quadruples
+    weight = n_mid.astype(np.float64) * n_apex
     w_max = float(weight.max())
-    counts = {}
+    counts = Counter()
     samples = [] if keep_samples else None
     accepted = 0
     consecutive_rejects = 0
     batch = 4096
     while accepted < m:
-        idx = rng.integers(pv.size, size=batch)
+        idx = rng.integers(t.v.size, size=batch)
         keep = rng.random(batch) * w_max < weight[idx]
         survivors = idx[keep]
         if survivors.size == 0:
@@ -221,17 +230,13 @@ def _sample_impl(sg, m, rng, keep_samples):
             if consecutive_rejects >= _STALL_LIMIT:
                 raise SamplingStalled(f"{consecutive_rejects} consecutive rejections")
             continue
-        for k in survivors.tolist():
+        cols = (t.v, t.w, t.half, t.mid_ptr, n_mid, t.apex_ptr, n_apex)
+        for v, w, half, m0, nm, u0, nu in zip(*(x[survivors].tolist() for x in cols)):
             if accepted >= m:
                 break
-            v, w = int(pv[k]), int(pw[k])
-            dv, dw = hops[v], hops[w]
-            half = int(dv[w]) // 2
-            mids = np.nonzero((dv == half) & (dw == half))[0]
-            apexes = np.nonzero(dv == dw)[0]
-            mid = int(mids[rng.integers(mids.size)])
-            u = int(apexes[rng.integers(apexes.size)])
-            a, c = int(hops[u, mid]), int(dv[u])
+            mid = int(t.mids[m0 + rng.integers(nm)])
+            u = int(t.apexes[u0 + rng.integers(nu)])
+            a, c = int(hops[u, mid]), int(hops[v, u])
             if a < 1 or not (a < half + c and half < a + c and c < a + half):
                 consecutive_rejects += 1
                 if consecutive_rejects >= _STALL_LIMIT:
@@ -239,24 +244,15 @@ def _sample_impl(sg, m, rng, keep_samples):
                 continue
             consecutive_rejects = 0
             accepted += 1
-            key = (a, half, c)
-            counts[key] = counts.get(key, 0) + 1
+            counts[a, half, c] += 1
             if keep_samples:
-                samples.append(TriangleSample(
-                    a=float(a), b=float(half), c=float(c),
-                    apex=u, base_end1=v, base_end2=w, midpoint=mid,
-                    hops=key,
-                ))
+                samples.append(_triangle(a, half, c, u, v, w, mid))
     return counts, samples
 
 
 def triangle_counts(samples):
     """Collapse TriangleSamples to {(a,b,c) hop triple: count}."""
-    counts = {}
-    for s in samples:
-        key = s.hops if s.hops is not None else (s.a, s.b, s.c)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return Counter(s.hops if s.hops is not None else (s.a, s.b, s.c) for s in samples)
 
 
 def fractal_curvature_stats(samples, edge_scale=1.0, level=None):

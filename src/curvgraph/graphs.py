@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import Disconnected
+from .errors import Disconnected, InvalidInput
 from .manifolds import manifold_from_json
 
 UNREACHABLE = np.uint32(0xFFFFFFFF)
@@ -123,13 +123,19 @@ def save_edge_list(g, path):
 
 
 def load_edge_list(path):
+    """Read the text edge-list format; a malformed file raises InvalidInput."""
     with open(path) as fh:
         header = fh.readline().split()
+        if len(header) != 2:
+            raise InvalidInput(f"{path}: the first line must be 'V E'")
         vcount, ecount = int(header[0]), int(header[1])
         us = np.empty(ecount, dtype=np.int64)
         vs = np.empty(ecount, dtype=np.int64)
         for i in range(ecount):
             parts = fh.readline().split()
+            if len(parts) != 2:
+                raise InvalidInput(f"{path}: line {i + 2} is not a 'u v' edge "
+                                   f"({ecount} edges declared)")
             us[i], vs[i] = int(parts[0]), int(parts[1])
     return Graph(vcount, us, vs)
 
@@ -177,13 +183,21 @@ def save_geometric_graph(gg, prefix):
 
 
 def load_geometric_graph(prefix):
+    """Read ``<prefix>.edges`` and its sidecar; malformed input raises InvalidInput."""
     graph = load_edge_list(f"{prefix}.edges")
     with open(f"{prefix}.json") as fh:
         sidecar = json.load(fh)
+    required = ("manifold", "connection_length", "tolerance", "coordinates")
+    if not isinstance(sidecar, dict) or any(key not in sidecar for key in required):
+        raise InvalidInput(f"{prefix}.json: a sidecar needs the keys {', '.join(required)}")
+    coordinates = np.asarray(sidecar["coordinates"], dtype=np.float64)
+    if coordinates.ndim != 2 or len(coordinates) != graph.vertex_count:
+        raise InvalidInput(f"{prefix}.json: coordinates of shape {coordinates.shape} "
+                           f"for {graph.vertex_count} vertices")
     return GeometricGraph(
         graph,
         manifold_from_json(sidecar["manifold"]),
-        np.asarray(sidecar["coordinates"], dtype=np.float64),
+        coordinates,
         sidecar["connection_length"],
         sidecar["tolerance"],
         sidecar.get("effective_edge_length"),

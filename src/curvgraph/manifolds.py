@@ -19,7 +19,12 @@ import math
 
 import numpy as np
 
-from .errors import SamplingFailure, SpheroidNonConvergence, UnsupportedManifold
+from .errors import (
+    InvalidInput,
+    SamplingFailure,
+    SpheroidNonConvergence,
+    UnsupportedManifold,
+)
 
 _REJECTION_CAP = 10**6
 
@@ -350,33 +355,28 @@ class Spheroid(Manifold):
 
 
 _KINDS = {
-    "sphere2": lambda o: Sphere2(o["radius"]),
-    "sphere3": lambda o: Sphere3(o["radius"]),
-    "hyperbolic": lambda o: HyperbolicDisk(o["curvature_scale"], o["disk_radius"]),
-    "euclidean": lambda o: EuclideanDisk(o["radius"]),
-    "spheroid": lambda o: Spheroid(o["equatorial_radius"], o["polar_radius"]),
+    "sphere2": (Sphere2, ("radius",)),
+    "sphere3": (Sphere3, ("radius",)),
+    "hyperbolic": (HyperbolicDisk, ("curvature_scale", "disk_radius")),
+    "euclidean": (EuclideanDisk, ("radius",)),
+    "spheroid": (Spheroid, ("equatorial_radius", "polar_radius")),
 }
 
 
 def manifold_from_json(obj):
-    """Build a manifold from its JSON object form (see each ``to_json``)."""
-    try:
-        factory = _KINDS[obj["type"]]
-    except KeyError as exc:
-        raise ValueError(f"unknown manifold type: {obj.get('type')!r}") from exc
-    return factory(obj)
+    """Build a manifold from its JSON object form (see each ``to_json``).
 
-
-def sample_point(manifold, rng):
-    """Uniform point w.r.t. the manifold's volume measure."""
-    return manifold.sample_point(rng)
-
-
-def geodesic_distance(manifold, p, q):
-    """Exact geodesic distance between two points on the manifold."""
-    return manifold.distance(p, q)
-
-
-def geodesic_direct(manifold, p, azimuth, s):
-    """Solve the direct geodesic problem (2-sphere and spheroid only)."""
-    return manifold.direct(p, azimuth, s)
+    The object must hold a known ``type`` and exactly that kind's numeric
+    parameters, as ``manifold.schema.json`` requires; anything else raises
+    :class:`InvalidInput`.
+    """
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InvalidInput(f"not a manifold object of a known type: {obj!r}")
+    cls, params = _KINDS[kind]
+    values = [obj.get(name) for name in params]
+    numeric = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
+    if set(obj) != {"type", *params} or not numeric:
+        raise InvalidInput(f"a {kind} manifold takes exactly the numbers "
+                           f"{', '.join(params)}: {obj!r}")
+    return cls(*values)

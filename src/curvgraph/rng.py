@@ -1,15 +1,15 @@
 """Reproducible random sources.
 
 Every randomized operation takes an explicit ``numpy.random.Generator``.
-Parallel work is split into fixed-size chunks, each seeded from the master
-seed and the chunk index, so results do not depend on worker count or
-scheduling order.
+Sampling work is split into fixed-size chunks, each with its own
+sub-stream, so a chunk's draws depend only on the seed and the chunk
+index.
 """
 
 import numpy as np
 
-# Samples per worker chunk.  Fixed so that chunk boundaries (and therefore
-# every sub-stream) are independent of the thread count.
+# Samples per chunk.  Changing it moves chunk boundaries, and with them
+# every sub-stream and every seeded result.
 CHUNK = 256
 
 

@@ -10,8 +10,8 @@ property on the exact builder.
 
 import numpy as np
 
-from .errors import NoConnectedLength
-from .graphs import GeometricGraph, Graph, bfs_hops, UNREACHABLE
+from .errors import CurvGraphError, NoConnectedLength
+from .graphs import GeometricGraph, Graph, is_connected
 from .rng import substream
 
 DEFAULT_TOLERANCE = 0.25  # p ~ 0.25 keeps edge counts low at similar distortion
@@ -85,13 +85,10 @@ def build_annulus_graph(manifold, points, l, p, *, verify_fraction=0.01, rng=Non
         pick = check_rng.choice(graph.edge_count, size=min(m, graph.edge_count), replace=False)
         for idx in pick:
             d = manifold.distance(points[us[idx]], points[vs[idx]])
-            assert abs(d - l) <= l * p, "annulus invariant violated by builder"
+            if not abs(d - l) <= l * p:
+                raise CurvGraphError("annulus invariant violated by builder")
 
     return GeometricGraph(graph, manifold, points, l, p)
-
-
-def _graph_connected(gg):
-    return bool(np.all(bfs_hops(gg.graph, 0) != UNREACHABLE))
 
 
 def min_connection_length(manifold, points, p, *, dist_matrix=None):
@@ -139,12 +136,13 @@ def min_connection_length(manifold, points, p, *, dist_matrix=None):
     # Bracket verification on the exact (float64) builder; the float32 search
     # matrix can disagree on borderline edges.
     for _ in range(64):
-        if _graph_connected(build_annulus_graph(manifold, points, best, p, verify_fraction=0)):
+        if is_connected(build_annulus_graph(manifold, points, best, p, verify_fraction=0).graph):
             break
         best *= 1.0 + _BRACKET_REL
     for _ in range(64):
         lower = best * (1.0 - _BRACKET_REL)
-        if not _graph_connected(build_annulus_graph(manifold, points, lower, p, verify_fraction=0)):
+        if not is_connected(build_annulus_graph(manifold, points, lower, p,
+                                                verify_fraction=0).graph):
             break
         best = lower
     return best

@@ -14,13 +14,14 @@ degenerate and rejected.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curvature import CurvatureReport
 from .errors import DegenerateFit, Disconnected, TooFewAccepted
-from .graphs import UNREACHABLE, bfs_hops
+from .graphs import UNREACHABLE, bfs_hops, is_connected
 
 
 @dataclass
@@ -91,7 +92,7 @@ def wolfram_ricci_K(profile, l_e):
 
 def estimate_wolfram(g, l_e, n_vertices, rng, r_max_hops=None):
     """Curvature report from ball-volume fits at sampled center vertices."""
-    if np.any(bfs_hops(g, 0) == UNREACHABLE):
+    if not is_connected(g):
         raise Disconnected("ball-volume estimation requires a connected graph")
     n = g.vertex_count
     if r_max_hops is None:
@@ -99,13 +100,13 @@ def estimate_wolfram(g, l_e, n_vertices, rng, r_max_hops=None):
         r_max_hops = max(3, math.ceil(1.5 / l_e))
     centers = rng.choice(n, size=min(n_vertices, n), replace=False)
     ks = []
-    rejected = {}
+    rejected = Counter()
     for v in centers:
         profile = ball_profile(g, int(v), r_max_hops)
         try:
             fit = wolfram_ricci_K(profile, l_e)
         except DegenerateFit:
-            rejected["degenerate_fit"] = rejected.get("degenerate_fit", 0) + 1
+            rejected["degenerate_fit"] += 1
             continue
         ks.append(fit.curvature)
     if len(ks) < max(10, len(centers) / 100):

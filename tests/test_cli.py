@@ -193,3 +193,19 @@ def test_error_exit_json(tmp_path):
     err2 = json.loads(proc2.stderr)
     validate(err2, "error")
     assert err2["error"] == "LevelTooLarge"
+    # malformed input from outside: manifold JSON, edge list and sidecar
+    sidecar = {"manifold": {"type": "sphere2", "radius": 1.0}, "connection_length": 0.5,
+               "tolerance": 0.25, "coordinates": [[1.0, 0.0, 0.0]] * 3}
+    (tmp_path / "cut.edges").write_text("3 2\n0 1\n")
+    (tmp_path / "cut.json").write_text(json.dumps(sidecar))
+    (tmp_path / "short.edges").write_text("3 2\n0 1\n1 2\n")
+    (tmp_path / "short.json").write_text(json.dumps({**sidecar, "coordinates": [[1.0, 0, 0]]}))
+    sprinkle = ("sprinkle", "--n", 10, "--seed", 1, "--out", tmp_path / "x", "--manifold")
+    for args in [(*sprinkle, '{"type":"sphere2"}'), (*sprinkle, "3"),
+                 ("distortion", "--graph", tmp_path / "cut", "--seed", 1),
+                 ("distortion", "--graph", tmp_path / "short", "--seed", 1)]:
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 1, args
+        err = json.loads(proc.stderr)
+        validate(err, "error")
+        assert err["error"] == "InvalidInput", err

@@ -233,8 +233,8 @@ def test_estimate_curvature_deterministic_and_thread_invariant():
     rng = np.random.default_rng(69)
     gg = sprinkle(Sphere2(1.0), 400, 0.25, rng=rng)
     le = 0.25
-    r1 = estimate_curvature(gg.graph, le, 60, rng=np.random.default_rng(5), threads=1)
-    r2 = estimate_curvature(gg.graph, le, 60, rng=np.random.default_rng(5), threads=4)
+    r1 = estimate_curvature(gg.graph, le, 60, rng=np.random.default_rng(5))
+    r2 = estimate_curvature(gg.graph, le, 60, rng=np.random.default_rng(5))
     assert np.array_equal(r1.samples, r2.samples)
     assert r1.rejected == r2.rejected
 

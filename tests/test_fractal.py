@@ -13,6 +13,7 @@ from curvgraph import (
     sample_fractal_triangles,
     sierpinski_graph,
 )
+from curvgraph import fractal
 from curvgraph.errors import LevelTooLarge, SamplingStalled
 from curvgraph.fractal import triangle_counts
 
@@ -98,6 +99,32 @@ def test_count_enumeration_equals_sample_enumeration(level):
     sg = sierpinski_graph(level)
     assert (enumerate_fractal_triangle_counts(sg)
             == triangle_counts(enumerate_fractal_triangles(sg)))
+
+
+def test_pair_table_matches_definition():
+    sg = sierpinski_graph(4)  # several build blocks
+    hops = [list(map(int, bfs_hops(sg.graph, v))) for v in range(sg.graph.vertex_count)]
+    verts = range(len(hops))
+    pairs = [(v, w) for v in verts for w in verts
+             if v < w and hops[v][w] >= 2 and hops[v][w] % 2 == 0]
+    t = sg.pair_table()
+    assert list(zip(t.v.tolist(), t.w.tolist())) == pairs
+    for k, (v, w) in enumerate(pairs):
+        half = hops[v][w] // 2
+        assert t.half[k] == half
+        assert (t.mids[t.mid_ptr[k]:t.mid_ptr[k + 1]].tolist()
+                == [m for m in verts if hops[v][m] == half == hops[w][m]])
+        assert (t.apexes[t.apex_ptr[k]:t.apex_ptr[k + 1]].tolist()
+                == [u for u in verts if hops[v][u] == hops[w][u]])
+
+
+def test_blocks_smaller_than_a_pair(monkeypatch):
+    # every candidate block boundary, even inside one pair's candidates,
+    # still yields each quadruple exactly once
+    monkeypatch.setattr(fractal, "_BLOCK", 5)
+    sg = sierpinski_graph(2)
+    assert enumerate_fractal_triangle_counts(sg) == brute_force_quadruples(sg)
+    assert triangle_counts(enumerate_fractal_triangles(sg)) == brute_force_quadruples(sg)
 
 
 def test_level_one_enumeration_values():

@@ -9,10 +9,7 @@ from curvgraph import (
     Sphere2,
     Sphere3,
     Spheroid,
-    geodesic_direct,
-    geodesic_distance,
     manifold_from_json,
-    sample_point,
 )
 from curvgraph.errors import UnsupportedManifold
 
@@ -125,21 +122,21 @@ def test_spheroid_latitude_chi_square():
 def test_sphere_antipodal():
     m = Sphere2(1.0)
     p = np.array([0.0, 0.0, 1.0])
-    assert geodesic_distance(m, p, -p) == pytest.approx(math.pi, rel=1e-12)
+    assert m.distance(p, -p) == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_hyperbolic_through_origin():
     m = HyperbolicDisk(1.0, 2.0)
     p = np.array([1.0, 0.0])
     q = np.array([1.0, math.pi])
-    assert geodesic_distance(m, p, q) == pytest.approx(2.0, rel=1e-12)
+    assert m.distance(p, q) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_spheroid_degenerates_to_sphere():
     m = Spheroid(6371.0, 6371.0)
     p = np.array([0.0, 0.0])
     q = np.array([0.0, 1.0])  # 1 radian along the equator
-    assert geodesic_distance(m, p, q) == pytest.approx(6371.0, rel=1e-6)
+    assert m.distance(p, q) == pytest.approx(6371.0, rel=1e-6)
 
 
 def test_metric_axioms_random_triples():
@@ -194,7 +191,7 @@ def test_sphere_direct_from_pole():
     m = Sphere2(1.0)
     pole = np.array([0.0, 0.0, 1.0])
     for az in [0.0, 1.0, 2.5]:
-        q = geodesic_direct(m, pole, az, math.pi / 2)
+        q = m.direct(pole, az, math.pi / 2)
         assert abs(q[2]) < 1e-12  # on the equator
 
 
@@ -205,7 +202,7 @@ def test_sphere_direct_round_trip():
         p = m.sample_point(rng)
         az = rng.uniform(0, 2 * math.pi)
         s = rng.uniform(0.01, 0.49 * math.pi)
-        q = geodesic_direct(m, p, az, s)
+        q = m.direct(p, az, s)
         assert m.distance(p, q) == pytest.approx(s, rel=1e-6)
 
 
@@ -220,7 +217,7 @@ def test_spheroid_direct_matches_sphere_when_degenerate():
         s = rng.uniform(0.01, 1.0)
         lat2, lon2 = sph.direct(np.array([lat, lon]), az, s)
         p3 = np.array([math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)])
-        q3 = geodesic_direct(sphere, p3, az, s)
+        q3 = sphere.direct(p3, az, s)
         expect = np.array([
             math.cos(lat2) * math.cos(lon2),
             math.cos(lat2) * math.sin(lon2),
@@ -250,13 +247,13 @@ def test_spheroid_direct_round_trip():
 
 def test_direct_unsupported():
     with pytest.raises(UnsupportedManifold):
-        geodesic_direct(EuclideanDisk(1.0), np.zeros(2), 0.0, 0.5)
+        EuclideanDisk(1.0).direct(np.zeros(2), 0.0, 0.5)
     with pytest.raises(UnsupportedManifold):
-        geodesic_direct(HyperbolicDisk(1.0, 2.0), np.zeros(2), 0.0, 0.5)
+        HyperbolicDisk(1.0, 2.0).direct(np.zeros(2), 0.0, 0.5)
 
 
 def test_sample_point_single():
     rng = np.random.default_rng(23)
-    p = sample_point(Sphere2(1.0), rng)
+    p = Sphere2(1.0).sample_point(rng)
     assert p.shape == (3,)
     assert np.linalg.norm(p) == pytest.approx(1.0, rel=1e-12)
