@@ -10,6 +10,7 @@ worker-owned outputs is the intended parallelization pattern.
 """
 
 import json
+import warnings
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -57,12 +58,16 @@ class Graph:
     def degrees(self):
         return np.diff(self.indptr)
 
+    def edge_arrays(self):
+        """Each edge once, as arrays (u, v) with u < v, ordered by u then v."""
+        rows = np.repeat(np.arange(self.vertex_count), np.diff(self.indptr))
+        upper = rows < self.indices
+        return rows[upper], self.indices[upper]
+
     def edges(self):
         """Iterate edges once as (u, v) with u < v."""
-        for u in range(self.vertex_count):
-            for v in self.neighbors(u):
-                if u < v:
-                    yield u, int(v)
+        us, vs = self.edge_arrays()
+        return zip(us.tolist(), vs.tolist())
 
     def __repr__(self):
         return f"Graph(V={self.vertex_count}, E={self.edge_count})"
@@ -116,28 +121,40 @@ def diameter_estimate(g, rng):
 
 def save_edge_list(g, path):
     """Write the text edge-list format: "V E" then one "u v" line per edge."""
+    us, vs = g.edge_arrays()
+    digits = f"U{len(str(max(g.vertex_count - 1, 0)))}"
+    lines = np.char.add(np.char.add(us.astype(digits), " "), vs.astype(digits))
     with open(path, "w") as fh:
         fh.write(f"{g.vertex_count} {g.edge_count}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
+        if lines.size:
+            fh.write("\n".join(lines.tolist()))
+            fh.write("\n")
 
 
 def load_edge_list(path):
-    """Read the text edge-list format; a malformed file raises InvalidInput."""
+    """Read the text edge-list format; a malformed file raises InvalidInput.
+
+    The header "V E" must be followed by exactly E lines "u v" (blank
+    lines are skipped).
+    """
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise InvalidInput(f"{path}: the first line must be 'V E'")
-        vcount, ecount = int(header[0]), int(header[1])
-        us = np.empty(ecount, dtype=np.int64)
-        vs = np.empty(ecount, dtype=np.int64)
-        for i in range(ecount):
-            parts = fh.readline().split()
-            if len(parts) != 2:
-                raise InvalidInput(f"{path}: line {i + 2} is not a 'u v' edge "
-                                   f"({ecount} edges declared)")
-            us[i], vs[i] = int(parts[0]), int(parts[1])
-    return Graph(vcount, us, vs)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a body without edges
+                pairs = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise InvalidInput(f"{path}: the lines after the header must be 'u v': {exc}") from None
+    try:
+        vcount, ecount = (int(x) for x in header)
+    except ValueError:
+        raise InvalidInput(f"{path}: the first line must be 'V E'") from None
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if vcount < 0 or pairs.shape != (ecount, 2):
+        raise InvalidInput(f"{path}: header 'V E' = {vcount} {ecount} but {len(pairs)} "
+                           f"lines of {pairs.shape[1]} numbers follow")
+    return Graph(vcount, pairs[:, 0], pairs[:, 1])
 
 
 class GeometricGraph:
@@ -190,6 +207,12 @@ def load_geometric_graph(prefix):
     required = ("manifold", "connection_length", "tolerance", "coordinates")
     if not isinstance(sidecar, dict) or any(key not in sidecar for key in required):
         raise InvalidInput(f"{prefix}.json: a sidecar needs the keys {', '.join(required)}")
+    numbers = [sidecar["connection_length"], sidecar["tolerance"]]
+    if "effective_edge_length" in sidecar:
+        numbers.append(sidecar["effective_edge_length"])
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in numbers):
+        raise InvalidInput(f"{prefix}.json: connection_length, tolerance and "
+                           f"effective_edge_length must be numbers")
     coordinates = np.asarray(sidecar["coordinates"], dtype=np.float64)
     if coordinates.ndim != 2 or len(coordinates) != graph.vertex_count:
         raise InvalidInput(f"{prefix}.json: coordinates of shape {coordinates.shape} "

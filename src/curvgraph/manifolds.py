@@ -53,6 +53,19 @@ class Manifold:
         """Upper bound on the distance between any two points."""
         raise NotImplementedError
 
+    def chart(self, points):
+        """Euclidean coordinates in which the chord never exceeds ``chord_bound(d)``.
+
+        Points at geodesic distance at most ``L`` are then at most
+        ``chord_bound(L)`` apart in the chart, so a k-d tree query of that
+        radius finds every pair within ``L``.
+        """
+        raise NotImplementedError
+
+    def chord_bound(self, length):
+        """Largest chart chord of two points at most ``length`` apart."""
+        raise NotImplementedError
+
     def direct(self, p, azimuth, s):
         """Point reached by following the geodesic from ``p`` for arclength ``s``.
 
@@ -92,6 +105,13 @@ class _EmbeddedSphere(Manifold):
 
     def diameter(self):
         return math.pi * self.radius
+
+    def chart(self, points):
+        return np.asarray(points, dtype=np.float64)
+
+    def chord_bound(self, length):
+        r = self.radius
+        return 2.0 * r * math.sin(min(length / (2.0 * r), math.pi / 2.0))
 
     def to_json(self):
         return {"type": self.kind, "radius": self.radius}
@@ -156,6 +176,15 @@ class HyperbolicDisk(Manifold):
     def diameter(self):
         return 2.0 * self.disk_radius
 
+    def chart(self, points):
+        # Poincare disk: sinh(d / 2k) = |x - y| / sqrt((1 - |x|^2)(1 - |y|^2)) >= |x - y|
+        rho = np.tanh(points[:, 0] / (2.0 * self.curvature_scale))
+        return np.column_stack([rho * np.cos(points[:, 1]), rho * np.sin(points[:, 1])])
+
+    def chord_bound(self, length):
+        # chords of the unit disk are at most 2 = sinh(asinh 2)
+        return math.sinh(min(length / (2.0 * self.curvature_scale), math.asinh(2.0)))
+
     def to_json(self):
         return {
             "type": self.kind,
@@ -184,6 +213,12 @@ class EuclideanDisk(Manifold):
 
     def diameter(self):
         return 2.0 * self.radius
+
+    def chart(self, points):
+        return np.asarray(points, dtype=np.float64)
+
+    def chord_bound(self, length):
+        return length
 
     def to_json(self):
         return {"type": self.kind, "radius": self.radius}
@@ -342,6 +377,18 @@ class Spheroid(Manifold):
 
     def diameter(self):
         return math.pi * self.equatorial_radius
+
+    def chart(self, points):
+        # geocentric (ECEF) coordinates: a straight chord never exceeds the geodesic
+        lat, lon = points[:, 0], points[:, 1]
+        e2 = self.eccentricity_sq
+        prime = self.equatorial_radius / np.sqrt(1.0 - e2 * np.sin(lat) ** 2)
+        return np.column_stack([prime * np.cos(lat) * np.cos(lon),
+                                prime * np.cos(lat) * np.sin(lon),
+                                prime * (1.0 - e2) * np.sin(lat)])
+
+    def chord_bound(self, length):
+        return length
 
     def to_json(self):
         return {

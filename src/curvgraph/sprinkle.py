@@ -5,81 +5,123 @@ distance d satisfies |d - l| <= l * p for a connection length l and
 tolerance p.  The minimal l giving a connected graph is located by binary
 search; because connectivity is not monotone in l for an annulus rule, the
 search keeps the smallest connected l seen and then verifies the bracket
-property on the exact builder.
+property on the exact distances.
+
+No pairwise distance matrix is formed: the search and the builder read one
+:class:`CandidatePairs` table, the pairs within the longest length probed,
+sorted by distance, so each probe touches only its annulus window.
 """
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .errors import CurvGraphError, NoConnectedLength
-from .graphs import GeometricGraph, Graph, is_connected
+from .graphs import GeometricGraph, Graph
 from .rng import substream
 
 DEFAULT_TOLERANCE = 0.25  # p ~ 0.25 keeps edge counts low at similar distortion
 _BISECT_ITERS = 24
 _BRACKET_REL = 1e-3
+_BRACKET_STEPS = 64  # cap on the upward bracket walk
+# Relative slack on lengths, far above the rounding of float32 distances and
+# of the chart chords: a window or a k-d tree query never misses a pair.
+_PAD_REL = 1e-6
+_WIDEN = 1.25  # a query that must grow covers at least this much more length
 
 
-def _distance_block(manifold, points, i0, i1, dtype=np.float64):
-    """Rows [i0, i1) of the pairwise geodesic distance matrix."""
-    out = np.empty((i1 - i0, len(points)), dtype=dtype)
-    for i in range(i0, i1):
-        out[i - i0] = manifold.distances_from(points[i], points)
-    return out
-
-
-def pairwise_distances(manifold, points, dtype=np.float32, block=1024):
-    """Full pairwise distance matrix, computed in row blocks."""
+def pairwise_distances(manifold, points, dtype=np.float32):
+    """Full pairwise distance matrix, row by row: the brute-force oracle."""
     n = len(points)
     out = np.empty((n, n), dtype=dtype)
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        out[i0:i1] = _distance_block(manifold, points, i0, i1, dtype=dtype)
+    for i in range(n):
+        out[i] = manifold.distances_from(points[i], points)
     return out
 
 
-def _connected_at(dist_matrix, l, p):
-    """Connectivity of the annulus graph at length l, via dense-frontier BFS."""
-    adj = np.abs(dist_matrix - l) <= l * p
-    np.fill_diagonal(adj, False)
-    n = adj.shape[0]
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
-    frontier = visited.copy()
-    while frontier.any():
-        nxt = adj[frontier].any(axis=0) & ~visited
-        visited |= nxt
-        frontier = nxt
-    return bool(visited.all())
+class CandidatePairs:
+    """Pairs i < j of ``points`` with geodesic distance up to ``reach``, by distance.
+
+    A k-d tree fixed-radius query in ``manifold.chart`` coordinates finds a
+    superset of the pairs within a length (chords are at most
+    ``manifold.chord_bound`` of it); ``manifold.distances_from`` then gives
+    their exact distances, one source row at a time.  ``d`` holds them in
+    ascending order with ``i``, ``j`` alongside, and ``d32`` is their float32
+    rounding.  The query widens only when a probe asks for a longer length.
+    """
+
+    def __init__(self, manifold, points):
+        self.manifold = manifold
+        self.points = np.asarray(points, dtype=np.float64)
+        self.n = len(self.points)
+        self._tree = cKDTree(manifold.chart(self.points)) if self.n > 1 else None
+        self.reach = 0.0
+        self.i = self.j = np.empty(0, dtype=np.intp)
+        self.d = np.empty(0, dtype=np.float64)
+        self.d32 = self.d.astype(np.float32)
+
+    def _cover(self, length):
+        """Hold every pair with distance at most ``length``."""
+        if length <= self.reach or self._tree is None:
+            return
+        length = max(length, _WIDEN * self.reach)
+        radius = self.manifold.chord_bound(length + _PAD_REL * self.manifold.diameter())
+        ij = self._tree.query_pairs(radius * (1.0 + _PAD_REL), output_type="ndarray")
+        ij = ij[np.argsort(ij[:, 0])]  # group by source row
+        d = np.empty(len(ij))
+        bounds = np.searchsorted(ij[:, 0], np.arange(self.n + 1)).tolist()
+        for i, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if e > s:
+                d[s:e] = self.manifold.distances_from(self.points[i], self.points[ij[s:e, 1]])
+        keep = np.flatnonzero(d <= length)
+        keep = keep[np.argsort(d[keep])]
+        self.i, self.j, self.d = ij[keep, 0], ij[keep, 1], d[keep]
+        self.d32 = self.d.astype(np.float32)
+        self.reach = length
+
+    def edges(self, l, p, exact=True):
+        """Pairs (u, v) with |d - l| <= l * p, in float64 or on the float32 copy."""
+        pad = _PAD_REL * l
+        hi = l * (1.0 + p) + pad
+        self._cover(hi)
+        a = np.searchsorted(self.d, l * (1.0 - p) - pad, side="left")
+        b = np.searchsorted(self.d, hi, side="right")
+        d = self.d[a:b] if exact else self.d32[a:b]
+        hit = np.abs(d - l) <= l * p
+        return self.i[a:b][hit], self.j[a:b][hit]
+
+    def connected(self, l, p, exact=True):
+        """Connectivity of the annulus graph at length l."""
+        u, v = self.edges(l, p, exact)
+        adj = coo_matrix((np.ones(u.size, dtype=np.int8), (u, v)), shape=(self.n, self.n))
+        return connected_components(adj, directed=False, return_labels=False) == 1
+
+    def shortest_positive(self):
+        """Smallest nonzero distance held (infinity when there is none)."""
+        k = np.searchsorted(self.d, 0.0, side="right")
+        return float(self.d[k]) if k < self.d.size else float("inf")
 
 
-def build_annulus_graph(manifold, points, l, p, *, verify_fraction=0.01, rng=None):
+def build_annulus_graph(manifold, points, l, p, *, verify_fraction=0.01, rng=None, pairs=None):
     """Annulus graph with edge rule |d(u,v) - l| <= l * p.
 
-    Deterministic given its inputs.  A ``verify_fraction`` sample of the
-    produced edges is re-checked against the scalar geodesic distance as a
-    self-test of the builder.
+    Deterministic given its inputs.  ``pairs`` is a :class:`CandidatePairs`
+    of these points to read the edges from (one is made when absent).  A
+    ``verify_fraction`` sample of the produced edges is re-checked against
+    the scalar geodesic distance as a self-test of the builder.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("tolerance p must be in (0, 1]")
     if not l > 0.0:
         raise ValueError("connection length must be positive")
     points = np.asarray(points, dtype=np.float64)
-    n = len(points)
-    us, vs = [], []
-    block = max(1, min(n, int(2**24 // max(n, 1)) or 1))
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        d = _distance_block(manifold, points, i0, i1)
-        hit = np.abs(d - l) <= l * p
-        bi, bj = np.nonzero(hit)
-        keep = (bi + i0) < bj  # upper triangle only
-        us.append((bi + i0)[keep])
-        vs.append(bj[keep])
-    us = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
-    vs = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
-    graph = Graph(n, us, vs)
+    if pairs is None:
+        pairs = CandidatePairs(manifold, points)
+    graph = Graph(len(points), *pairs.edges(l, p))
 
     if verify_fraction > 0 and graph.edge_count:
+        us, vs = graph.edge_arrays()
         check_rng = rng if rng is not None else np.random.default_rng(0)
         m = max(1, int(verify_fraction * graph.edge_count))
         pick = check_rng.choice(graph.edge_count, size=min(m, graph.edge_count), replace=False)
@@ -91,7 +133,7 @@ def build_annulus_graph(manifold, points, l, p, *, verify_fraction=0.01, rng=Non
     return GeometricGraph(graph, manifold, points, l, p)
 
 
-def min_connection_length(manifold, points, p, *, dist_matrix=None):
+def min_connection_length(manifold, points, p, *, pairs=None):
     """Approximate minimal connection length giving a connected graph.
 
     Connectivity is not monotone in l for an annulus rule, so a plain
@@ -99,23 +141,28 @@ def min_connection_length(manifold, points, p, *, dist_matrix=None):
     therefore first scans a uniform grid of 24 intervals over
     [0, diameter] for the lowest connected length, then bisects between
     that grid point and its disconnected predecessor, retaining the
-    smallest connected l seen.  The result is finally walked down in
-    relative steps of 1e-3 until the bracket property holds on the exact
-    builder: connected at l, not connected at l * (1 - 1e-3).
+    smallest connected l seen; both read the float32-rounded distances.
+    The result is finally walked in relative steps of 1e-3 until the
+    bracket property holds on the exact (float64) edge rule: connected at
+    l, not connected at l * (1 - 1e-3).  The upward walk gives up with
+    :class:`NoConnectedLength` after 64 steps.  ``pairs`` is a
+    :class:`CandidatePairs` of these points to search (one is made when
+    absent).
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("tolerance p must be in (0, 1]")
     points = np.asarray(points, dtype=np.float64)
     if len(points) < 2:
         raise ValueError("need at least 2 points")
-    D = dist_matrix if dist_matrix is not None else pairwise_distances(manifold, points)
+    if pairs is None:
+        pairs = CandidatePairs(manifold, points)
 
     diam = manifold.diameter()
     grid = [diam * i / _BISECT_ITERS for i in range(1, _BISECT_ITERS + 1)]
     best = None
     lo = 0.0
     for l in grid:
-        if _connected_at(D, l, p):
+        if pairs.connected(l, p, exact=False):
             best = l
             break
         lo = l
@@ -127,24 +174,32 @@ def min_connection_length(manifold, points, p, *, dist_matrix=None):
     hi = best
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        if _connected_at(D, mid, p):
+        if pairs.connected(mid, p, exact=False):
             best = min(best, mid)
             hi = mid
         else:
             lo = mid
 
-    # Bracket verification on the exact (float64) builder; the float32 search
-    # matrix can disagree on borderline edges.
-    for _ in range(64):
-        if is_connected(build_annulus_graph(manifold, points, best, p, verify_fraction=0).graph):
+    # Bracket verification on the exact distances; the float32 search can
+    # disagree on borderline edges.
+    start = best
+    for _ in range(_BRACKET_STEPS):
+        if pairs.connected(best, p):
             break
         best *= 1.0 + _BRACKET_REL
-    for _ in range(64):
-        lower = best * (1.0 - _BRACKET_REL)
-        if not is_connected(build_annulus_graph(manifold, points, lower, p,
-                                                verify_fraction=0).graph):
-            break
-        best = lower
+    else:
+        raise NoConnectedLength(
+            f"not connected within {_BRACKET_STEPS} steps of {_BRACKET_REL} above {start:.9g}",
+            best_length=best,
+        )
+    while pairs.connected(best * (1.0 - _BRACKET_REL), p):
+        best *= 1.0 - _BRACKET_REL
+        if best * (1.0 + p + _PAD_REL) < pairs.shortest_positive():
+            # only coincident points are joined, at every smaller length too
+            raise NoConnectedLength(
+                f"connected at every length below {best:.9g}: the points coincide",
+                best_length=best,
+            )
     return best
 
 
@@ -161,9 +216,7 @@ def sprinkle(manifold, n, p=DEFAULT_TOLERANCE, rng=None, l_override=None, seed=N
         rng = substream(0 if seed is None else seed, 0)
     points = manifold.sample_points(n, rng)
     if l_override is not None:
-        l = float(l_override)
-        return build_annulus_graph(manifold, points, l, p)
-    D = pairwise_distances(manifold, points)
-    l = min_connection_length(manifold, points, p, dist_matrix=D)
-    del D
-    return build_annulus_graph(manifold, points, l, p)
+        return build_annulus_graph(manifold, points, float(l_override), p)
+    pairs = CandidatePairs(manifold, points)
+    l = min_connection_length(manifold, points, p, pairs=pairs)
+    return build_annulus_graph(manifold, points, l, p, pairs=pairs)

@@ -200,10 +200,16 @@ def test_error_exit_json(tmp_path):
     (tmp_path / "cut.json").write_text(json.dumps(sidecar))
     (tmp_path / "short.edges").write_text("3 2\n0 1\n1 2\n")
     (tmp_path / "short.json").write_text(json.dumps({**sidecar, "coordinates": [[1.0, 0, 0]]}))
+    (tmp_path / "long.edges").write_text("3 2\n0 1\n1 2\n5 6\n")
+    (tmp_path / "long.json").write_text(json.dumps(sidecar))
+    (tmp_path / "typed.edges").write_text("3 2\n0 1\n1 2\n")
+    (tmp_path / "typed.json").write_text(json.dumps({**sidecar, "tolerance": [1]}))
     sprinkle = ("sprinkle", "--n", 10, "--seed", 1, "--out", tmp_path / "x", "--manifold")
     for args in [(*sprinkle, '{"type":"sphere2"}'), (*sprinkle, "3"),
                  ("distortion", "--graph", tmp_path / "cut", "--seed", 1),
-                 ("distortion", "--graph", tmp_path / "short", "--seed", 1)]:
+                 ("distortion", "--graph", tmp_path / "short", "--seed", 1),
+                 ("distortion", "--graph", tmp_path / "long", "--seed", 1),
+                 ("distortion", "--graph", tmp_path / "typed", "--seed", 1)]:
         proc = run_cli(*args, check=False)
         assert proc.returncode == 1, args
         err = json.loads(proc.stderr)

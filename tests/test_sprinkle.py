@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from curvgraph import (
     EuclideanDisk,
+    HyperbolicDisk,
     Sphere2,
+    Sphere3,
+    Spheroid,
     bfs_hops,
     build_annulus_graph,
     is_connected,
     min_connection_length,
     sprinkle,
 )
-from curvgraph.errors import NoConnectedLength
-from curvgraph.sprinkle import pairwise_distances
+from curvgraph.errors import NoConnectedLength, SpheroidNonConvergence
+from curvgraph.sprinkle import CandidatePairs, pairwise_distances
 
 
 def collinear_points():
@@ -117,6 +122,21 @@ def test_no_connected_length():
     assert err.value.best_length is not None
 
 
+def test_no_minimal_length_for_coincident_points():
+    # at p = 1 coincident points are joined at every length: none is minimal
+    pts = np.array([[0.3, 0.1]] * 3)
+    with pytest.raises(NoConnectedLength):
+        min_connection_length(EuclideanDisk(1.0), pts, 1.0)
+
+
+def test_upward_bracket_walk_gives_up(monkeypatch):
+    # float32 probes always connected, exact ones never: 64 steps up, then an error
+    monkeypatch.setattr(CandidatePairs, "connected", lambda self, l, p, exact=True: not exact)
+    m, pts = collinear_points()
+    with pytest.raises(NoConnectedLength):
+        min_connection_length(m, pts, 0.25)
+
+
 def test_sprinkle_two_points():
     gg = sprinkle(EuclideanDisk(1.0), 2, 0.25, rng=np.random.default_rng(44))
     assert gg.graph.edge_count == 1
@@ -165,3 +185,137 @@ def test_mean_degree_lower_at_small_p():
     e_large = build_annulus_graph(m, pts, l, 1.0).graph.edge_count
     assert is_connected(build_annulus_graph(m, pts, l, 0.25).graph)
     assert e_small < e_large
+
+
+# --- property tests against the dense brute force ---------------------------
+
+
+@st.composite
+def point_sets(draw):
+    """A manifold and a few of its points, some of them coincident."""
+    kind = draw(st.sampled_from(["sphere2", "sphere3", "hyperbolic", "euclidean", "spheroid"]))
+    scale = draw(st.floats(0.25, 4.0))
+    if kind == "spheroid":  # pure-Python geodesics: keep it to a few points
+        m, n = Spheroid(6378.0, 6357.0), draw(st.integers(2, 5))
+    elif kind == "hyperbolic":
+        m, n = HyperbolicDisk(scale, scale * draw(st.floats(0.2, 4.0))), draw(st.integers(2, 40))
+    else:
+        m = {"sphere2": Sphere2, "sphere3": Sphere3, "euclidean": EuclideanDisk}[kind](scale)
+        n = draw(st.integers(2, 40))
+    pts = m.sample_points(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    repeat = draw(st.integers(0, n // 2))
+    if repeat:
+        pts[n - repeat:] = pts[:repeat]
+    return m, pts
+
+
+def exact_distances(m, pts):
+    """Float64 pairwise distances; a spheroid pair that does not converge rules the case out."""
+    try:
+        return pairwise_distances(m, pts, dtype=np.float64)
+    except SpheroidNonConvergence:
+        return None
+
+
+def brute_force_connected(D64, l, p):
+    """Annulus-graph connectivity from the upper triangle of the float64 matrix."""
+    upper = np.triu(D64, 1)
+    return dense_connected_at(upper + upper.T, l, p)
+
+
+def dense_connected_at(dist_matrix, l, p):
+    """Connectivity of the annulus graph at length l, via dense-frontier BFS."""
+    adj = np.abs(dist_matrix - l) <= l * p
+    np.fill_diagonal(adj, False)
+    n = adj.shape[0]
+    visited = np.zeros(n, dtype=bool)
+    visited[0] = True
+    frontier = visited.copy()
+    while frontier.any():
+        nxt = adj[frontier].any(axis=0) & ~visited
+        visited |= nxt
+        frontier = nxt
+    return bool(visited.all())
+
+
+def dense_min_connection_length(m, pts, p, D64):
+    """The dense connection-length search that candidate pairs replaced.
+
+    Same grid, bisection on the float32 matrix and 1e-3 bracket walks, each
+    walk capped at 64 steps.  Returns (l, whether a walk used up its steps).
+    """
+    D = pairwise_distances(m, pts)
+    diam = m.diameter()
+    grid = [diam * i / 24 for i in range(1, 25)]
+    best = None
+    lo = 0.0
+    for l in grid:
+        if dense_connected_at(D, l, p):
+            best = l
+            break
+        lo = l
+    if best is None:
+        raise NoConnectedLength("no connected grid length")
+    hi = best
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        if dense_connected_at(D, mid, p):
+            best = min(best, mid)
+            hi = mid
+        else:
+            lo = mid
+    for _ in range(64):
+        if brute_force_connected(D64, best, p):
+            break
+        best *= 1.0 + 1e-3
+    else:
+        return best, True
+    for _ in range(64):
+        lower = best * (1.0 - 1e-3)
+        if not brute_force_connected(D64, lower, p):
+            return best, False
+        best = lower
+    return best, True
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY_SETTINGS
+@given(case=point_sets(), reach=st.floats(1e-3, 1.0), p=st.floats(1e-3, 1.0))
+def test_annulus_edges_match_brute_force(case, reach, p):
+    m, pts = case
+    D64 = exact_distances(m, pts)
+    if D64 is None:
+        return
+    l = reach * m.diameter()
+    iu, ju = np.triu_indices(len(pts), 1)
+    rule = np.abs(D64[iu, ju] - l) <= l * p
+    gg = build_annulus_graph(m, pts, l, p)
+    assert list(gg.graph.edges()) == list(zip(iu[rule].tolist(), ju[rule].tolist()))
+
+
+@PROPERTY_SETTINGS
+@given(case=point_sets(), p=st.floats(1e-3, 1.0))
+def test_min_connection_length_matches_dense_search(case, p):
+    m, pts = case
+    D64 = exact_distances(m, pts)
+    if D64 is None:
+        return
+    try:
+        expected, capped = dense_min_connection_length(m, pts, p, D64)
+    except NoConnectedLength:
+        with pytest.raises(NoConnectedLength):
+            min_connection_length(m, pts, p)
+        return
+    try:
+        l = min_connection_length(m, pts, p)
+    except NoConnectedLength:
+        # only where the dense search ran out of bracket steps
+        assert capped
+        return
+    if not capped:
+        assert l.hex() == expected.hex()
+    assert brute_force_connected(D64, l, p)
+    assert not brute_force_connected(D64, l * (1.0 - 1e-3), p)
