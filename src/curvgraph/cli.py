@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .converge import run_sweep, sweep_csv, sweep_report
-from .curvature import estimate_curvature, vertex_curvature
+from .curvature import estimate_curvature, vertex_curvature, write_column_csv
 from .distortion import default_sources, distortion_report
 from .earth import DEFAULT_LEG_RANGE_KM, EARTH_EQUATORIAL_KM, EARTH_POLAR_KM
 from .earth import estimate_earth_radius
@@ -25,6 +25,7 @@ from .fractal import (
     fractal_curvature_stats,
     sample_fractal_triangle_counts,
     sierpinski_graph,
+    solve_shapes,
 )
 from .graphs import load_geometric_graph, save_geometric_graph
 from .manifolds import Spheroid, manifold_from_json
@@ -34,7 +35,7 @@ from .wolfram import estimate_wolfram
 
 SCHEMA_VERSION = 1
 
-# fixed per-command stream tags: parallelism degree must not change results
+# fixed per-command stream tags: every command draws from its own stream
 _TAG = {"sprinkle": 0, "distortion": 1, "curvature": 2, "wolfram": 3,
         "converge": 4, "fractal": 5, "earth": 6}
 
@@ -96,14 +97,7 @@ def _cmd_curvature(args):
     rng = substream(args.seed, _TAG["curvature"])
     l_e = gg.effective_edge_length
     if args.per_vertex:
-        if args.smin is None or args.smax is None:
-            from .curvature import default_hop_window
-            smin, smax = default_hop_window(gg.graph, rng)
-            smin = args.smin if args.smin is not None else smin
-            smax = args.smax if args.smax is not None else smax
-        else:
-            smin, smax = args.smin, args.smax
-        per_vertex = vertex_curvature(gg.graph, l_e, args.samples, smin, smax, rng)
+        per_vertex = vertex_curvature(gg.graph, l_e, args.samples, args.smin, args.smax, rng)
         _emit({
             "estimator": "sectional-vertex",
             "effectiveEdgeLength": l_e,
@@ -145,16 +139,8 @@ def _cmd_fractal(args):
         counts = sample_fractal_triangle_counts(sg, args.samples, rng)
     stats = fractal_curvature_stats(counts, args.edge_scale, args.level)
     if args.out:
-        scale = args.edge_scale ** (-2 * args.level)
-        with open(f"{args.out}.csv", "w") as fh:
-            fh.write("K\n")
-            for (a, b, c), cnt in sorted(counts.items()):
-                try:
-                    from .curvature import curvature_from_triangle
-                    k = curvature_from_triangle(float(a), float(b), float(c)) * scale
-                except CurvGraphError:
-                    continue
-                fh.writelines([f"{k!r}\n"] * cnt)
+        write_column_csv(f"{args.out}.csv", "K",
+                         solve_shapes(counts, args.edge_scale, args.level)[0])
     _emit({"n": args.level, "edgeScale": args.edge_scale, **stats})
 
 

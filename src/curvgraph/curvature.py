@@ -22,6 +22,7 @@ triangles.
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.stats import trim_mean
@@ -34,7 +35,7 @@ from .errors import (
     TriangleInequalityViolated,
 )
 from .graphs import bfs_hops, diameter_estimate, is_connected
-from .rng import chunk_ranges
+from .rng import chunk_streams
 
 _FLAT_REL_TOL = 1e-12     # |a^2+b^2-c^2| below this (relative to c^2) is flat
 _ROOT_REL_TOL = 1e-10
@@ -79,10 +80,11 @@ class CurvatureReport:
         ks = np.asarray(samples, dtype=np.float64)
         if ks.size == 0:
             raise TooFewAccepted("no accepted samples")
+        mean, standard_error = mean_and_standard_error(ks)
         return cls(
             samples=ks,
-            mean=float(ks.mean()),
-            standard_error=float(ks.std(ddof=1) / math.sqrt(ks.size)) if ks.size > 1 else 0.0,
+            mean=mean,
+            standard_error=standard_error,
             trimmed_mean=float(trim_mean(ks, 0.05)),
             median=float(np.median(ks)),
             rejected=dict(rejected or {}),
@@ -108,10 +110,34 @@ class CurvatureReport:
         return out
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("K\n")
-            for k in self.samples:
-                fh.write(f"{float(k)!r}\n")
+        write_column_csv(path, "K", ((k, 1) for k in self.samples))
+
+
+def mean_and_standard_error(values):
+    """Mean and standard error (ddof=1, or 0 for one value) of a float64 array."""
+    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+    return float(values.mean()), se
+
+
+def require_accepted(accepted, asked, rejected):
+    """Raise TooFewAccepted when fewer than max(10, asked / 100) samples were accepted."""
+    needed = max(10, asked / 100)
+    if accepted < needed:
+        raise TooFewAccepted(
+            f"{accepted} of {asked} samples accepted, below the minimum of "
+            f"{needed:g} for a meaningful report (rejections: {dict(rejected)})"
+        )
+
+
+def write_column_csv(path, header, rows):
+    """One-column CSV: ``header``, then each (value, count) row's ``repr(float(value))`` count times.
+
+    Each value is formatted once however often it repeats.
+    """
+    with open(path, "w") as fh:
+        fh.write(f"{header}\n")
+        for value, count in rows:
+            fh.write(f"{float(value)!r}\n" * count)
 
 
 def _check_triangle(a, b, c):
@@ -277,25 +303,41 @@ def sample_triangle(g, l_e, s_min_hops, s_max_hops, rng, retries=64, apex=None):
     raise NoCandidate(f"no valid triangle after {retries} retries")
 
 
-def _collect_chunk(g, l_e, count, s_min, s_max, rng, max_length_scale, apex=None):
+def solve_triangles(draw, streams, max_length_scale=None):
+    """Curvatures of drawn triangles, in draw order, and the rejections by reason.
+
+    ``streams`` holds (count, generator) pairs, run in order; ``draw(gen)``
+    returns one TriangleSample or raises NoCandidate.  A triangle with a
+    side above ``max_length_scale`` is rejected without a root solve.
+    """
     ks = []
     rejected = Counter()
-    for _ in range(count):
-        try:
-            tri = sample_triangle(g, l_e, s_min, s_max, rng, apex=apex)
-        except NoCandidate:
-            rejected["no_candidate"] += 1
-            continue
-        if max_length_scale is not None and max(tri.sides()) > max_length_scale:
-            rejected["max_length_scale"] += 1
-            continue
-        try:
-            ks.append(curvature_from_triangle(*tri.sides()))
-        except TriangleInequalityViolated:
-            rejected["triangle_inequality"] += 1
-        except RootNotFound:
-            rejected["root_not_found"] += 1
+    for count, stream in streams:
+        for _ in range(count):
+            try:
+                tri = draw(stream)
+            except NoCandidate:
+                rejected["no_candidate"] += 1
+                continue
+            if max_length_scale is not None and max(tri.sides()) > max_length_scale:
+                rejected["max_length_scale"] += 1
+                continue
+            try:
+                ks.append(curvature_from_triangle(*tri.sides()))
+            except TriangleInequalityViolated:
+                rejected["triangle_inequality"] += 1
+            except RootNotFound:
+                rejected["root_not_found"] += 1
     return ks, rejected
+
+
+def _hop_window(g, rng, s_min_hops, s_max_hops):
+    """The hop window with each missing end taken from default_hop_window."""
+    if s_min_hops is None or s_max_hops is None:
+        d_min, d_max = default_hop_window(g, rng)
+        s_min_hops = d_min if s_min_hops is None else s_min_hops
+        s_max_hops = d_max if s_max_hops is None else s_max_hops
+    return s_min_hops, s_max_hops
 
 
 def estimate_curvature(g, l_e, n_samples, s_min_hops=None, s_max_hops=None,
@@ -306,6 +348,7 @@ def estimate_curvature(g, l_e, n_samples, s_min_hops=None, s_max_hops=None,
     sub-stream spawned from ``rng``, and merged in chunk order, so the
     result depends only on ``rng`` and the arguments.  Samples whose
     construction or root solve fails are tallied by reason, not propagated.
+    A missing hop-window end comes from :func:`default_hop_window`.
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
@@ -313,41 +356,28 @@ def estimate_curvature(g, l_e, n_samples, s_min_hops=None, s_max_hops=None,
         raise ValueError("an explicit rng is required for reproducibility")
     if not is_connected(g):
         raise Disconnected("curvature estimation requires a connected graph")
-    if s_min_hops is None or s_max_hops is None:
-        d_min, d_max = default_hop_window(g, rng)
-        s_min_hops = d_min if s_min_hops is None else s_min_hops
-        s_max_hops = d_max if s_max_hops is None else s_max_hops
-
-    chunks = chunk_ranges(n_samples)
-    streams = rng.spawn(len(chunks))
-    ks, rejected = [], Counter()
-    for (lo, hi), stream in zip(chunks, streams):
-        part, rej = _collect_chunk(g, l_e, hi - lo, s_min_hops, s_max_hops, stream,
-                                   max_length_scale)
-        ks.extend(part)
-        rejected.update(rej)
-    needed = max(10, n_samples / 100)
-    if len(ks) < needed:
-        raise TooFewAccepted(
-            f"{len(ks)} of {n_samples} samples accepted, below the minimum of "
-            f"{needed:g} for a meaningful report (rejections: {dict(rejected)})"
-        )
+    s_min_hops, s_max_hops = _hop_window(g, rng, s_min_hops, s_max_hops)
+    ks, rejected = solve_triangles(partial(sample_triangle, g, l_e, s_min_hops, s_max_hops),
+                                   chunk_streams(n_samples, rng), max_length_scale)
+    require_accepted(len(ks), n_samples, rejected)
     return CurvatureReport.from_samples(ks, rejected)
 
 
-def vertex_curvature(g, l_e, samples_per_vertex, s_min_hops, s_max_hops, rng):
+def vertex_curvature(g, l_e, samples_per_vertex, s_min_hops=None, s_max_hops=None, rng=None):
     """Mean curvature per vertex over triangles having that vertex as apex.
 
-    Returns an array with NaN for vertices with no accepted sample.
+    The hop window is resolved as in :func:`estimate_curvature`, before
+    one sub-stream per vertex is spawned from ``rng``.  Returns an array
+    with NaN for vertices with no accepted sample.
     """
+    if rng is None:
+        raise ValueError("an explicit rng is required for reproducibility")
+    s_min_hops, s_max_hops = _hop_window(g, rng, s_min_hops, s_max_hops)
     n = g.vertex_count
     out = np.full(n, np.nan)
-    streams = rng.spawn(n)
-    for v in range(n):
-        ks, _ = _collect_chunk(
-            g, l_e, samples_per_vertex, s_min_hops, s_max_hops, streams[v],
-            None, apex=v,
-        )
+    for v, stream in enumerate(rng.spawn(n)):
+        draw = partial(sample_triangle, g, l_e, s_min_hops, s_max_hops, apex=v)
+        ks, _ = solve_triangles(draw, [(samples_per_vertex, stream)])
         if ks:
             out[v] = float(np.mean(ks))
     return out

@@ -18,17 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import curvature_from_triangle, TriangleSample
-from .errors import (
-    NonPositiveCurvature,
-    RootNotFound,
-    SamplingStalled,
-    SpheroidNonConvergence,
-    TooFewAccepted,
-    TriangleInequalityViolated,
+from .curvature import (
+    TriangleSample,
+    mean_and_standard_error,
+    require_accepted,
+    solve_triangles,
+    write_column_csv,
 )
+from .errors import NonPositiveCurvature, SamplingStalled, SpheroidNonConvergence
 from .manifolds import Spheroid
-from .rng import chunk_ranges
+from .rng import chunk_streams
 
 EARTH_EQUATORIAL_KM = 6378.0
 EARTH_POLAR_KM = 6357.0
@@ -124,10 +123,7 @@ class EarthRadiusReport:
         return out
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("radius_km\n")
-            for r in self.radii:
-                fh.write(f"{float(r)!r}\n")
+        write_column_csv(path, "radius_km", ((r, 1) for r in self.radii))
 
 
 def ks_distance_to_expected(radii):
@@ -140,29 +136,6 @@ def ks_distance_to_expected(radii):
     return float(max(upper.max(), lower.max()))
 
 
-def _radius_chunk(spheroid, count, leg_range, max_length_scale, rng):
-    radii = []
-    neg = 0
-    other = 0
-    for _ in range(count):
-        leg_a = rng.uniform(*leg_range)
-        leg_b = rng.uniform(*leg_range)
-        tri = sample_spheroid_triangle(spheroid, leg_a, leg_b, rng)
-        if max_length_scale is not None and max(tri.sides()) > max_length_scale:
-            other += 1
-            continue
-        try:
-            k = curvature_from_triangle(*tri.sides())
-        except (TriangleInequalityViolated, RootNotFound):
-            other += 1
-            continue
-        if k <= 0:
-            neg += 1
-            continue
-        radii.append(radius_from_curvature(k))
-    return radii, neg, other
-
-
 def estimate_earth_radius(spheroid=None, n_samples=10**4, leg_range=DEFAULT_LEG_RANGE_KM,
                           max_length_scale=None, rng=None):
     """Radius distribution over n_samples random right triangles.
@@ -170,28 +143,28 @@ def estimate_earth_radius(spheroid=None, n_samples=10**4, leg_range=DEFAULT_LEG_
     Legs are drawn uniformly from leg_range per sample.  When
     max_length_scale is given, triangles with any side above it are
     dropped and the report carries the KS distance to the expected pdf.
+    Draws run in chunks as in ``estimate_curvature``; K <= 0 counts as
+    rejectedNegativeK and every other rejection as rejectedOther.
     """
     if spheroid is None:
         spheroid = earth_spheroid()
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
-    radii, neg, other = [], 0, 0
-    chunks = chunk_ranges(n_samples)
-    streams = rng.spawn(len(chunks))
-    for stream, (lo, hi) in zip(streams, chunks):
-        part, part_neg, part_other = _radius_chunk(
-            spheroid, hi - lo, leg_range, max_length_scale, stream
-        )
-        radii.extend(part)
-        neg += part_neg
-        other += part_other
-    radii = np.asarray(radii, dtype=np.float64)
-    if len(radii) < max(10, n_samples / 100):
-        raise TooFewAccepted(f"only {len(radii)} of {n_samples} radius samples accepted")
+
+    def draw(stream):
+        leg_a = stream.uniform(*leg_range)
+        leg_b = stream.uniform(*leg_range)
+        return sample_spheroid_triangle(spheroid, leg_a, leg_b, stream)
+
+    ks, rejected = solve_triangles(draw, chunk_streams(n_samples, rng), max_length_scale)
+    radii = np.asarray([radius_from_curvature(k) for k in ks if k > 0], dtype=np.float64)
+    neg, other = len(ks) - radii.size, sum(rejected.values())
+    require_accepted(radii.size, n_samples, {**rejected, "non_positive_k": neg})
+    mean, standard_error = mean_and_standard_error(radii)
     report = EarthRadiusReport(
         radii=radii,
-        mean=float(radii.mean()),
-        standard_error=float(radii.std(ddof=1) / math.sqrt(radii.size)) if radii.size > 1 else 0.0,
+        mean=mean,
+        standard_error=standard_error,
         rejected_negative_k=neg,
         rejected_other=other,
         leg_range=tuple(leg_range),

@@ -255,7 +255,25 @@ def triangle_counts(samples):
     return Counter(s.hops if s.hops is not None else (s.a, s.b, s.c) for s in samples)
 
 
-def fractal_curvature_stats(samples, edge_scale=1.0, level=None):
+def solve_shapes(counts, edge_scale, level):
+    """([(K scaled by edge_scale^(-2 level), count)], rejected count) of a shape tally.
+
+    ``counts`` maps (a,b,c) hop triples to counts; solved shapes come in
+    sorted shape order, and the counts of shapes without a root are summed.
+    """
+    scale = float(edge_scale) ** (-2 * level)
+    solved, rejected = [], 0
+    for (a, b, c), cnt in sorted(counts.items()):
+        try:
+            k = curvature_from_triangle(float(a), float(b), float(c))
+        except (TriangleInequalityViolated, RootNotFound):
+            rejected += cnt
+            continue
+        solved.append((k * scale, cnt))
+    return solved, rejected
+
+
+def fractal_curvature_stats(samples, edge_scale, level):
     """Statistics of the curvature distribution, scaled by edge_scale^(-2n).
 
     Choosing edge length edge_scale^n at iteration n rescales every
@@ -264,19 +282,8 @@ def fractal_curvature_stats(samples, edge_scale=1.0, level=None):
     {(a,b,c): count} mapping.
     """
     counts = samples if isinstance(samples, dict) else triangle_counts(samples)
-    if level is None:
-        raise ValueError("level is required for the edge-scale factor")
-    scale = float(edge_scale) ** (-2 * level)
-    ks, weights = [], []
-    rejected = 0
-    for (a, b, c), cnt in sorted(counts.items()):
-        try:
-            k = curvature_from_triangle(float(a), float(b), float(c))
-        except (TriangleInequalityViolated, RootNotFound):
-            rejected += cnt
-            continue
-        ks.append(k * scale)
-        weights.append(cnt)
+    solved, rejected = solve_shapes(counts, edge_scale, level)
+    ks, weights = zip(*solved) if solved else ((), ())
     total = int(sum(weights))
     if total == 0:
         return {"count": 0, "mean": None, "median": None, "stdDev": None,

@@ -4,9 +4,7 @@ The graph is stored in compressed sparse form (per-vertex sorted neighbor
 lists).  Hop counts are the combinatorial metric used by every estimator;
 they are exact unweighted shortest-path lengths computed one source row at
 a time, so no all-pairs matrix is ever materialized for large graphs.
-
-Graphs are immutable after construction; BFS from distinct sources into
-worker-owned outputs is the intended parallelization pattern.
+Graphs are immutable after construction.
 """
 
 import json
@@ -71,14 +69,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(V={self.vertex_count}, E={self.edge_count})"
-
-
-def from_adjacency_matrix(adj_bool):
-    """Graph from a symmetric boolean adjacency matrix (diagonal ignored)."""
-    a = np.asarray(adj_bool, dtype=bool).copy()
-    np.fill_diagonal(a, False)
-    iu, ju = np.nonzero(np.triu(a, 1))
-    return Graph(a.shape[0], iu, ju)
 
 
 def bfs_hops(g, source):

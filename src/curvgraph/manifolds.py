@@ -11,8 +11,7 @@ the direct geodesic problem.  Points are plain numpy arrays:
 * spheroid: geodetic ``(latitude, longitude)`` in radians.
 
 All operations are pure functions of their inputs plus an explicit random
-generator, so they are safe to use from concurrent workers that own their
-own generators.
+generator.
 """
 
 import math
@@ -99,9 +98,15 @@ class _EmbeddedSphere(Manifold):
         return v * self.radius
 
     def distances_from(self, p, qs):
+        # Dot products column by column, not ``qs @ p``: a BLAS product rounds
+        # a row differently with the number of rows, and arccos near 1 turns
+        # one ulp into ~1e-8, so a pair's distance would depend on its batch.
         r = self.radius
-        cosang = np.clip(qs @ (np.asarray(p) / (r * r)), -1.0, 1.0)
-        return r * np.arccos(cosang)
+        u = np.asarray(p) / (r * r)
+        dot = qs[:, 0] * u[0]
+        for k in range(1, self.dim_embed):
+            dot += qs[:, k] * u[k]
+        return r * np.arccos(np.clip(dot, -1.0, 1.0))
 
     def diameter(self):
         return math.pi * self.radius

@@ -19,7 +19,6 @@ from scipy.spatial import cKDTree
 
 from .errors import CurvGraphError, NoConnectedLength
 from .graphs import GeometricGraph, Graph
-from .rng import substream
 
 DEFAULT_TOLERANCE = 0.25  # p ~ 0.25 keeps edge counts low at similar distortion
 _BISECT_ITERS = 24
@@ -29,6 +28,7 @@ _BRACKET_STEPS = 64  # cap on the upward bracket walk
 # of the chart chords: a window or a k-d tree query never misses a pair.
 _PAD_REL = 1e-6
 _WIDEN = 1.25  # a query that must grow covers at least this much more length
+_VERIFY_FRACTION = 0.01  # share of built edges re-checked with the scalar distance
 
 
 def pairwise_distances(manifold, points, dtype=np.float32):
@@ -103,13 +103,13 @@ class CandidatePairs:
         return float(self.d[k]) if k < self.d.size else float("inf")
 
 
-def build_annulus_graph(manifold, points, l, p, *, verify_fraction=0.01, rng=None, pairs=None):
+def build_annulus_graph(manifold, points, l, p, *, pairs=None):
     """Annulus graph with edge rule |d(u,v) - l| <= l * p.
 
     Deterministic given its inputs.  ``pairs`` is a :class:`CandidatePairs`
     of these points to read the edges from (one is made when absent).  A
-    ``verify_fraction`` sample of the produced edges is re-checked against
-    the scalar geodesic distance as a self-test of the builder.
+    fixed-seed 1% sample of the produced edges is re-checked against the
+    scalar geodesic distance as a self-test of the builder.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("tolerance p must be in (0, 1]")
@@ -120,11 +120,10 @@ def build_annulus_graph(manifold, points, l, p, *, verify_fraction=0.01, rng=Non
         pairs = CandidatePairs(manifold, points)
     graph = Graph(len(points), *pairs.edges(l, p))
 
-    if verify_fraction > 0 and graph.edge_count:
+    if graph.edge_count:
         us, vs = graph.edge_arrays()
-        check_rng = rng if rng is not None else np.random.default_rng(0)
-        m = max(1, int(verify_fraction * graph.edge_count))
-        pick = check_rng.choice(graph.edge_count, size=min(m, graph.edge_count), replace=False)
+        m = max(1, int(_VERIFY_FRACTION * graph.edge_count))
+        pick = np.random.default_rng(0).choice(graph.edge_count, size=m, replace=False)
         for idx in pick:
             d = manifold.distance(points[us[idx]], points[vs[idx]])
             if not abs(d - l) <= l * p:
@@ -203,17 +202,15 @@ def min_connection_length(manifold, points, p, *, pairs=None):
     return best
 
 
-def sprinkle(manifold, n, p=DEFAULT_TOLERANCE, rng=None, l_override=None, seed=None):
-    """Sample n uniform points and build the annulus graph.
+def sprinkle(manifold, n, p=DEFAULT_TOLERANCE, rng=None, l_override=None):
+    """Sample n uniform points from ``rng`` and build the annulus graph.
 
     Uses ``l_override`` when given, otherwise the minimal connected length.
-    Pass either an explicit generator or a seed (the generator is derived
-    from it via a fixed sub-stream, so results are reproducible).
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if rng is None:
-        rng = substream(0 if seed is None else seed, 0)
+        raise ValueError("an explicit rng is required for reproducibility")
     points = manifold.sample_points(n, rng)
     if l_override is not None:
         return build_annulus_graph(manifold, points, float(l_override), p)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureReport
-from .errors import DegenerateFit, Disconnected, TooFewAccepted
+from .curvature import CurvatureReport, require_accepted
+from .errors import DegenerateFit, Disconnected
 from .graphs import UNREACHABLE, bfs_hops, is_connected
 
 
@@ -109,6 +109,5 @@ def estimate_wolfram(g, l_e, n_vertices, rng, r_max_hops=None):
             rejected["degenerate_fit"] += 1
             continue
         ks.append(fit.curvature)
-    if len(ks) < max(10, len(centers) / 100):
-        raise TooFewAccepted(f"only {len(ks)} usable ball fits")
+    require_accepted(len(ks), len(centers), rejected)
     return CurvatureReport.from_samples(ks, rejected, estimator="wolfram-ricci")

@@ -6,6 +6,7 @@ from importlib import resources
 import pytest
 
 from cli_env import cli_env
+from curvgraph import curvature_from_triangle, enumerate_fractal_triangle_counts, sierpinski_graph
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -151,6 +152,10 @@ def test_fractal_exact_and_sampled(tmp_path):
     csv_lines = (tmp_path / "f2.csv").read_text().splitlines()
     assert csv_lines[0] == "K"
     assert len(csv_lines) - 1 == payload["count"]
+    counts = enumerate_fractal_triangle_counts(sierpinski_graph(2))
+    expected = [curvature_from_triangle(*shape) for shape, n in sorted(counts.items())
+                for _ in range(n)]
+    assert [float(x) for x in csv_lines[1:]] == expected
     sampled = run_cli("fractal", "--level", 2, "--samples", 200, "--seed", 1)
     validate(json.loads(sampled.stdout), "fractal_stats")
 

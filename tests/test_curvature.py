@@ -294,3 +294,14 @@ def test_vertex_curvature_deterministic():
     v2 = vertex_curvature(gg.graph, 0.2, 2, smin, smax, np.random.default_rng(3))
     assert np.array_equal(np.isnan(v1), np.isnan(v2))
     assert np.allclose(v1[~np.isnan(v1)], v2[~np.isnan(v2)])
+    # a missing window end is drawn from rng before the per-vertex streams
+    rng = np.random.default_rng(3)
+    smin, smax = default_hop_window(gg.graph, rng)
+    drawn = vertex_curvature(gg.graph, 0.2, 2, smin, smax, rng)
+    resolved = vertex_curvature(gg.graph, 0.2, 2, rng=np.random.default_rng(3))
+    assert np.array_equal(drawn, resolved, equal_nan=True)
+    rng = np.random.default_rng(3)
+    smax = default_hop_window(gg.graph, rng)[1]
+    drawn = vertex_curvature(gg.graph, 0.2, 2, 4, smax, rng)
+    resolved = vertex_curvature(gg.graph, 0.2, 2, s_min_hops=4, rng=np.random.default_rng(3))
+    assert np.array_equal(drawn, resolved, equal_nan=True)

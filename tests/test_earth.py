@@ -13,7 +13,7 @@ from curvgraph import (
     radius_from_curvature,
     sample_spheroid_triangle,
 )
-from curvgraph.errors import NonPositiveCurvature
+from curvgraph.errors import NonPositiveCurvature, TooFewAccepted
 
 
 def test_radius_from_curvature():
@@ -112,6 +112,13 @@ def test_estimate_deterministic():
     r1 = estimate_earth_radius(n_samples=100, rng=np.random.default_rng(96))
     r2 = estimate_earth_radius(n_samples=100, rng=np.random.default_rng(96))
     assert np.array_equal(r1.radii, r2.radii)
+
+
+def test_estimate_too_few_accepted():
+    # every leg is at least 500 km, so a 1 km length scale rejects all draws
+    with pytest.raises(TooFewAccepted):
+        estimate_earth_radius(n_samples=50, max_length_scale=1.0,
+                              rng=np.random.default_rng(99))
 
 
 def test_csv_rows_parse_as_floats(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from curvgraph import (
     Graph,
@@ -134,8 +136,23 @@ def test_diameter_disconnected():
         diameter_estimate(g, np.random.default_rng(0))
 
 
-def test_edge_list_round_trip(tmp_path):
-    g = grid(3, 4)
+@st.composite
+def graphs(draw):
+    """Simple graphs on 1 to 30 vertices, any number of them isolated."""
+    n = draw(st.integers(1, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60)) if pairs else []
+    return Graph(n, [u for u, _ in edges], [v for _, v in edges])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(g=graphs())
+@example(g=Graph(1, [], []))
+@example(g=Graph(12, [], []))
+@example(g=Graph(12, [0, 3, 10], [11, 4, 11]))
+@example(g=grid(3, 4))
+def test_edge_list_round_trip(tmp_path, g):
     p = tmp_path / "g.edges"
     save_edge_list(g, p)
     first_line = p.read_text().splitlines()[0]
@@ -144,3 +161,8 @@ def test_edge_list_round_trip(tmp_path):
     assert g2.vertex_count == g.vertex_count
     assert g2.edge_count == g.edge_count
     assert list(g2.edges()) == list(g.edges())
+    assert np.array_equal(g2.indptr, g.indptr)
+    assert np.array_equal(g2.indices, g.indices)
+    again = tmp_path / "again.edges"
+    save_edge_list(g2, again)
+    assert again.read_bytes() == p.read_bytes()

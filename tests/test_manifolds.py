@@ -160,6 +160,20 @@ def test_metric_axioms_random_triples():
             assert dij <= (dik + dkj) * (1 + tol)
 
 
+def test_distances_independent_of_batch():
+    # a pair's distance must not depend on which other rows share the call;
+    # duplicated points make the arccos near 1 expose any rounding difference
+    rng = np.random.default_rng(21)
+    for manifold in [Sphere2(1.0), Sphere3(1.3), HyperbolicDisk(1.0, 2.0), EuclideanDisk(2.0)]:
+        pts = manifold.sample_points(40, rng)
+        pts[20:] = pts[:20]
+        for i in range(40):
+            row = manifold.distances_from(pts[i], pts)
+            for j in range(40):
+                assert row[j] == manifold.distances_from(pts[i], pts[[j]])[0]
+                assert row[j] == manifold.distances_from(pts[i], pts[j:])[0]
+
+
 def test_rotation_isometry():
     rng = np.random.default_rng(19)
     # common rotation of both points leaves distances unchanged

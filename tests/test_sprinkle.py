@@ -142,6 +142,11 @@ def test_sprinkle_two_points():
     assert gg.graph.edge_count == 1
 
 
+def test_sprinkle_requires_rng():
+    with pytest.raises(ValueError):
+        sprinkle(EuclideanDisk(1.0), 5, 0.25)
+
+
 def test_sprinkle_deterministic():
     m = Sphere2(1.0)
     g1 = sprinkle(m, 150, 0.25, rng=np.random.default_rng(45))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curvgraph import Graph, Sphere2, ball_profile, sprinkle, wolfram_ricci_K
-from curvgraph.errors import DegenerateFit
+from curvgraph.errors import DegenerateFit, TooFewAccepted
 from curvgraph.wolfram import VOLUME_QUARTIC, estimate_wolfram
 
 
@@ -76,6 +76,12 @@ def test_fit_matches_normal_equations():
 def test_degenerate_short_profile():
     with pytest.raises(DegenerateFit):
         wolfram_ricci_K(np.array([1.0, 4.0, 9.0]), l_e=0.1)
+
+
+def test_estimate_wolfram_all_fits_degenerate():
+    # l_e = 1 leaves one radius under the unit-curvature cap at every center
+    with pytest.raises(TooFewAccepted):
+        estimate_wolfram(path(30), 1.0, 20, np.random.default_rng(10))
 
 
 def test_estimate_wolfram_deterministic():
