@@ -19,7 +19,7 @@ from .curvature import estimate_curvature, vertex_curvature, write_column_csv
 from .distortion import default_sources, distortion_report
 from .earth import DEFAULT_LEG_RANGE_KM, EARTH_EQUATORIAL_KM, EARTH_POLAR_KM
 from .earth import estimate_earth_radius
-from .errors import CurvGraphError
+from .errors import CurvGraphError, InvalidInput
 from .fractal import (
     enumerate_fractal_triangle_counts,
     fractal_curvature_stats,
@@ -93,6 +93,12 @@ def _cmd_distortion(args):
 
 
 def _cmd_curvature(args):
+    if args.per_vertex:
+        unused = [flag for flag, given in (("--max-length", args.max_length is not None),
+                                           ("--csv", args.csv is not None),
+                                           ("--include-samples", args.include_samples)) if given]
+        if unused:
+            raise InvalidInput(f"--per-vertex does not take {', '.join(unused)}")
     gg = _load_graph(args.graph, args.seed)
     rng = substream(args.seed, _TAG["curvature"])
     l_e = gg.effective_edge_length

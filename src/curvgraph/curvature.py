@@ -41,6 +41,7 @@ _FLAT_REL_TOL = 1e-12     # |a^2+b^2-c^2| below this (relative to c^2) is flat
 _ROOT_REL_TOL = 1e-10
 _POS_SCAN_CELLS = 256
 _NEG_SCAN_DOUBLINGS = 60
+_RETRIES = 64             # triangle constructions tried per sample
 
 
 @dataclass
@@ -251,7 +252,7 @@ def default_hop_window(g, rng):
     return max(2, math.ceil(diam / 3)), diam
 
 
-def sample_triangle(g, l_e, s_min_hops, s_max_hops, rng, retries=64, apex=None):
+def sample_triangle(g, l_e, s_min_hops, s_max_hops, rng, retries=_RETRIES, apex=None):
     """Construct one approximate right triangle from hop distances.
 
     All three sides are required to reach the minimum hop scale: the
@@ -263,20 +264,25 @@ def sample_triangle(g, l_e, s_min_hops, s_max_hops, rng, retries=64, apex=None):
     is drawn uniformly among the qualifying vertices.  Raises NoCandidate
     when no valid triple is found within the retry budget.
     """
+    apex_row = None if apex is None else (int(apex), bfs_hops(g, int(apex)))
+    return _triangle(g, l_e, s_min_hops, s_max_hops, rng, retries, apex_row)
+
+
+def _triangle(g, l_e, s_min_hops, s_max_hops, rng, retries=_RETRIES, apex_row=None):
+    """sample_triangle's search; ``apex_row`` is a fixed apex and its hop row, or None."""
     if not 2 <= s_min_hops <= s_max_hops:
         raise ValueError("need 2 <= s_min_hops <= s_max_hops")
     c_min = math.ceil(math.sqrt(2.0) * s_min_hops)
     n = g.vertex_count
-    du_fixed = bfs_hops(g, int(apex)) if apex is not None else None
     for _ in range(retries):
-        if apex is None:
+        if apex_row is None:
             u = int(rng.integers(n))
             du = bfs_hops(g, u)
         else:
-            u, du = int(apex), du_fixed
+            u, du = apex_row
         v_cand = np.nonzero((du >= c_min) & (du <= s_max_hops))[0]
         if v_cand.size == 0:
-            if apex is not None:
+            if apex_row is not None:
                 break
             continue
         v = int(v_cand[rng.integers(v_cand.size)])
@@ -375,8 +381,11 @@ def vertex_curvature(g, l_e, samples_per_vertex, s_min_hops=None, s_max_hops=Non
     s_min_hops, s_max_hops = _hop_window(g, rng, s_min_hops, s_max_hops)
     n = g.vertex_count
     out = np.full(n, np.nan)
+    if samples_per_vertex < 1:
+        return out
     for v, stream in enumerate(rng.spawn(n)):
-        draw = partial(sample_triangle, g, l_e, s_min_hops, s_max_hops, apex=v)
+        # the apex's hop row is built once and shared by all its draws
+        draw = partial(_triangle, g, l_e, s_min_hops, s_max_hops, apex_row=(v, bfs_hops(g, v)))
         ks, _ = solve_triangles(draw, [(samples_per_vertex, stream)])
         if ks:
             out[v] = float(np.mean(ks))

@@ -19,11 +19,10 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
 from .curvature import RootNotFound, TriangleSample, curvature_from_triangle
 from .errors import LevelTooLarge, SamplingStalled, TriangleInequalityViolated
-from .graphs import Graph
+from .graphs import Graph, _hop_distances
 
 _MAX_LEVEL = 12          # construction memory guard
 _MAX_ALLPAIRS_LEVEL = 6  # enumeration / sampling need all-pairs distances
@@ -56,8 +55,7 @@ class SierpinskiGraph:
                 f"all-pairs distances limited to level {_MAX_ALLPAIRS_LEVEL}"
             )
         if self._hops is None:
-            d = dijkstra(self.graph._csr, directed=False, unweighted=True)
-            self._hops = d.astype(np.int32)
+            self._hops = _hop_distances(self.graph).astype(np.int32)
         return self._hops
 
     def pair_table(self):

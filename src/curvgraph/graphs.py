@@ -1,9 +1,14 @@
 """Compact undirected graphs with BFS shortest-path machinery.
 
-The graph is stored in compressed sparse form (per-vertex sorted neighbor
-lists).  Hop counts are the combinatorial metric used by every estimator;
-they are exact unweighted shortest-path lengths computed one source row at
-a time, so no all-pairs matrix is ever materialized for large graphs.
+A graph stores its adjacency once, as a symmetric scipy CSR matrix with
+sorted neighbour lists.  Hop counts are the combinatorial metric used by
+every estimator: exact unweighted shortest-path lengths from one kernel,
+:func:`_hop_distances`, which every hop read goes through.  Callers take
+them one source row at a time with :func:`bfs_hops`, so no all-pairs
+matrix is materialized for large graphs; only the small Sierpinski
+graphs ask the kernel for all pairs.  Because the stored matrix already
+holds both orientations of each edge, the kernel runs scipy's search as
+directed, which is exact here and skips a symmetrisation on every call.
 Graphs are immutable after construction.
 """
 
@@ -21,7 +26,12 @@ UNREACHABLE = np.uint32(0xFFFFFFFF)
 
 
 class Graph:
-    """Undirected simple graph: symmetric adjacency, no loops, no duplicates."""
+    """Undirected simple graph: symmetric adjacency, no loops, no duplicates.
+
+    ``adjacency`` is the one copy of the edges: a float64 CSR matrix of
+    ones holding both orientations of every edge, with sorted neighbour
+    lists; ``indptr`` and ``indices`` are its own arrays.
+    """
 
     def __init__(self, vertex_count, edges_u, edges_v):
         edges_u = np.asarray(edges_u, dtype=np.int64)
@@ -31,24 +41,16 @@ class Graph:
         if np.any(edges_u == edges_v):
             raise ValueError("self-loops are not allowed")
         self.vertex_count = int(vertex_count)
-        lo = np.minimum(edges_u, edges_v)
-        hi = np.maximum(edges_u, edges_v)
-        key = lo * vertex_count + hi
-        if np.unique(key).size != key.size:
-            raise ValueError("duplicate edges are not allowed")
-        rows = np.concatenate([lo, hi])
-        cols = np.concatenate([hi, lo])
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        self.indptr = np.zeros(vertex_count + 1, dtype=np.int64)
-        np.add.at(self.indptr, rows + 1, 1)
-        np.cumsum(self.indptr, out=self.indptr)
-        self.indices = cols.astype(np.int64)
-        self.edge_count = int(lo.size)
-        self._csr = csr_matrix(
-            (np.ones(self.indices.size, dtype=np.int8), self.indices, self.indptr),
-            shape=(vertex_count, vertex_count),
+        self.edge_count = int(edges_u.size)
+        # both orientations; building the CSR sorts each row and sums repeats
+        self.adjacency = csr_matrix(
+            (np.ones(2 * edges_u.size),
+             (np.concatenate([edges_u, edges_v]), np.concatenate([edges_v, edges_u]))),
+            shape=(self.vertex_count, self.vertex_count),
         )
+        if self.adjacency.nnz != 2 * self.edge_count:
+            raise ValueError("duplicate edges are not allowed")
+        self.indptr, self.indices = self.adjacency.indptr, self.adjacency.indices
 
     def neighbors(self, v):
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
@@ -71,12 +73,22 @@ class Graph:
         return f"Graph(V={self.vertex_count}, E={self.edge_count})"
 
 
+def _hop_distances(g, sources=None):
+    """Hop counts from each of ``sources`` (all vertices when None) as float64, inf if unreachable.
+
+    The package's one hop kernel.  ``directed=True`` is exact because the
+    adjacency already holds both orientations of every edge; it spares
+    scipy symmetrising the matrix again on every call.
+    """
+    return dijkstra(g.adjacency, directed=True, unweighted=True, indices=sources)
+
+
 def bfs_hops(g, source):
     """Hop counts from ``source`` to every vertex.
 
     Unreachable vertices get the sentinel :data:`UNREACHABLE`.
     """
-    d = dijkstra(g._csr, directed=False, unweighted=True, indices=source)
+    d = _hop_distances(g, source)
     out = np.full(g.vertex_count, UNREACHABLE, dtype=np.uint32)
     finite = np.isfinite(d)
     out[finite] = d[finite].astype(np.uint32)

@@ -29,9 +29,14 @@ _REJECTION_CAP = 10**6
 
 
 class Manifold:
-    """Common interface; see the concrete classes for coordinate conventions."""
+    """Common interface; see the concrete classes for coordinate conventions.
+
+    ``params`` names the constructor's arguments, in order; each is stored
+    as the attribute of that name and is a key of the JSON form.
+    """
 
     kind = None
+    params = ()
 
     def sample_points(self, n, rng):
         """Draw ``n`` points uniformly w.r.t. the area/volume measure."""
@@ -57,9 +62,10 @@ class Manifold:
 
         Points at geodesic distance at most ``L`` are then at most
         ``chord_bound(L)`` apart in the chart, so a k-d tree query of that
-        radius finds every pair within ``L``.
+        radius finds every pair within ``L``.  The default is the points
+        themselves, right for embedded spheres and the Euclidean disk.
         """
-        raise NotImplementedError
+        return np.asarray(points, dtype=np.float64)
 
     def chord_bound(self, length):
         """Largest chart chord of two points at most ``length`` apart."""
@@ -74,7 +80,11 @@ class Manifold:
         raise UnsupportedManifold(f"direct geodesic not supported on {self.kind}")
 
     def to_json(self):
-        raise NotImplementedError
+        return {"type": self.kind, **{name: getattr(self, name) for name in self.params}}
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)}" for name in self.params)
+        return f"{type(self).__name__}({args})"
 
 
 def _check_positive(**lengths):
@@ -87,6 +97,7 @@ class _EmbeddedSphere(Manifold):
     """Round sphere represented by embedding coordinates (chart-free)."""
 
     dim_embed = None
+    params = ("radius",)
 
     def __init__(self, radius):
         _check_positive(radius=radius)
@@ -111,18 +122,9 @@ class _EmbeddedSphere(Manifold):
     def diameter(self):
         return math.pi * self.radius
 
-    def chart(self, points):
-        return np.asarray(points, dtype=np.float64)
-
     def chord_bound(self, length):
         r = self.radius
         return 2.0 * r * math.sin(min(length / (2.0 * r), math.pi / 2.0))
-
-    def to_json(self):
-        return {"type": self.kind, "radius": self.radius}
-
-    def __repr__(self):
-        return f"{type(self).__name__}(radius={self.radius})"
 
 
 class Sphere2(_EmbeddedSphere):
@@ -157,6 +159,7 @@ class HyperbolicDisk(Manifold):
     """
 
     kind = "hyperbolic"
+    params = ("curvature_scale", "disk_radius")
 
     def __init__(self, curvature_scale, disk_radius):
         _check_positive(curvature_scale=curvature_scale, disk_radius=disk_radius)
@@ -190,19 +193,10 @@ class HyperbolicDisk(Manifold):
         # chords of the unit disk are at most 2 = sinh(asinh 2)
         return math.sinh(min(length / (2.0 * self.curvature_scale), math.asinh(2.0)))
 
-    def to_json(self):
-        return {
-            "type": self.kind,
-            "curvature_scale": self.curvature_scale,
-            "disk_radius": self.disk_radius,
-        }
-
-    def __repr__(self):
-        return f"HyperbolicDisk(curvature_scale={self.curvature_scale}, disk_radius={self.disk_radius})"
-
 
 class EuclideanDisk(Manifold):
     kind = "euclidean"
+    params = ("radius",)
 
     def __init__(self, radius):
         _check_positive(radius=radius)
@@ -219,17 +213,8 @@ class EuclideanDisk(Manifold):
     def diameter(self):
         return 2.0 * self.radius
 
-    def chart(self, points):
-        return np.asarray(points, dtype=np.float64)
-
     def chord_bound(self, length):
         return length
-
-    def to_json(self):
-        return {"type": self.kind, "radius": self.radius}
-
-    def __repr__(self):
-        return f"EuclideanDisk(radius={self.radius})"
 
 
 class Spheroid(Manifold):
@@ -243,6 +228,7 @@ class Spheroid(Manifold):
     """
 
     kind = "spheroid"
+    params = ("equatorial_radius", "polar_radius")
     _MAX_ITER = 200
     _TOL = 1e-12
 
@@ -395,28 +381,12 @@ class Spheroid(Manifold):
     def chord_bound(self, length):
         return length
 
-    def to_json(self):
-        return {
-            "type": self.kind,
-            "equatorial_radius": self.equatorial_radius,
-            "polar_radius": self.polar_radius,
-        }
 
-    def __repr__(self):
-        return f"Spheroid({self.equatorial_radius}, {self.polar_radius})"
-
-
-_KINDS = {
-    "sphere2": (Sphere2, ("radius",)),
-    "sphere3": (Sphere3, ("radius",)),
-    "hyperbolic": (HyperbolicDisk, ("curvature_scale", "disk_radius")),
-    "euclidean": (EuclideanDisk, ("radius",)),
-    "spheroid": (Spheroid, ("equatorial_radius", "polar_radius")),
-}
+_KINDS = {cls.kind: cls for cls in (Sphere2, Sphere3, HyperbolicDisk, EuclideanDisk, Spheroid)}
 
 
 def manifold_from_json(obj):
-    """Build a manifold from its JSON object form (see each ``to_json``).
+    """Build a manifold from its JSON object form (see ``Manifold.to_json``).
 
     The object must hold a known ``type`` and exactly that kind's numeric
     parameters, as ``manifold.schema.json`` requires; anything else raises
@@ -425,10 +395,10 @@ def manifold_from_json(obj):
     kind = obj.get("type") if isinstance(obj, dict) else None
     if not isinstance(kind, str) or kind not in _KINDS:
         raise InvalidInput(f"not a manifold object of a known type: {obj!r}")
-    cls, params = _KINDS[kind]
-    values = [obj.get(name) for name in params]
+    cls = _KINDS[kind]
+    values = [obj.get(name) for name in cls.params]
     numeric = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
-    if set(obj) != {"type", *params} or not numeric:
+    if set(obj) != {"type", *cls.params} or not numeric:
         raise InvalidInput(f"a {kind} manifold takes exactly the numbers "
-                           f"{', '.join(params)}: {obj!r}")
+                           f"{', '.join(cls.params)}: {obj!r}")
     return cls(*values)

@@ -209,12 +209,21 @@ def test_error_exit_json(tmp_path):
     (tmp_path / "long.json").write_text(json.dumps(sidecar))
     (tmp_path / "typed.edges").write_text("3 2\n0 1\n1 2\n")
     (tmp_path / "typed.json").write_text(json.dumps({**sidecar, "tolerance": [1]}))
+    (tmp_path / "ok.edges").write_text("3 2\n0 1\n1 2\n")
+    (tmp_path / "ok.json").write_text(json.dumps(
+        {**sidecar, "coordinates": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]}))
     sprinkle = ("sprinkle", "--n", 10, "--seed", 1, "--out", tmp_path / "x", "--manifold")
+    # flags that --per-vertex has no use for
+    per_vertex = ("curvature", "--graph", tmp_path / "ok", "--per-vertex", "--samples", 2,
+                  "--seed", 1)
     for args in [(*sprinkle, '{"type":"sphere2"}'), (*sprinkle, "3"),
                  ("distortion", "--graph", tmp_path / "cut", "--seed", 1),
                  ("distortion", "--graph", tmp_path / "short", "--seed", 1),
                  ("distortion", "--graph", tmp_path / "long", "--seed", 1),
-                 ("distortion", "--graph", tmp_path / "typed", "--seed", 1)]:
+                 ("distortion", "--graph", tmp_path / "typed", "--seed", 1),
+                 (*per_vertex, "--max-length", 1.0),
+                 (*per_vertex, "--csv", tmp_path / "pv.csv"),
+                 (*per_vertex, "--include-samples")]:
         proc = run_cli(*args, check=False)
         assert proc.returncode == 1, args
         err = json.loads(proc.stderr)

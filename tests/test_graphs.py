@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -13,6 +15,7 @@ from curvgraph import (
     save_edge_list,
 )
 from curvgraph.errors import Disconnected
+from curvgraph.graphs import _hop_distances
 
 
 def cycle(n):
@@ -75,37 +78,6 @@ def test_bfs_cycle():
     assert bfs_hops(cycle(12), 0)[7] == 5  # min(7, 12-7)
 
 
-def test_bfs_matches_floyd_warshall():
-    rng = np.random.default_rng(31)
-    for trial in range(10):
-        n = int(rng.integers(5, 50))
-        edges = set()
-        for _ in range(int(rng.integers(n, 3 * n))):
-            u, v = rng.integers(n, size=2)
-            if u != v:
-                edges.add((min(u, v), max(u, v)))
-        if not edges:
-            continue
-        us, vs = zip(*sorted(edges))
-        g = Graph(n, us, vs)
-        # naive O(V^3) oracle
-        inf = float("inf")
-        dist = [[0 if i == j else inf for j in range(n)] for i in range(n)]
-        for u, v in edges:
-            dist[u][v] = dist[v][u] = 1
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    if dist[i][k] + dist[k][j] < dist[i][j]:
-                        dist[i][j] = dist[i][k] + dist[k][j]
-        for src in range(0, n, max(1, n // 5)):
-            hops = bfs_hops(g, src)
-            for j in range(n):
-                expect = dist[src][j]
-                got = float(hops[j]) if hops[j] != UNREACHABLE else inf
-                assert got == expect
-
-
 def test_hop_metric_axioms():
     g = grid(4, 5)
     rng = np.random.default_rng(32)
@@ -137,12 +109,58 @@ def test_diameter_disconnected():
 
 
 @st.composite
-def graphs(draw):
-    """Simple graphs on 1 to 30 vertices, any number of them isolated."""
+def edge_lists(draw):
+    """(V, edges) of simple graphs on 1 to 30 vertices, any number of them isolated."""
     n = draw(st.integers(1, 30))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60)) if pairs else []
+    return n, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60)) if pairs else []
+
+
+def from_edges(n, edges):
     return Graph(n, [u for u, _ in edges], [v for _, v in edges])
+
+
+def graphs():
+    return edge_lists().map(lambda ne: from_edges(*ne))
+
+
+def python_bfs(n, edges, source):
+    """Hop counts by breadth-first search over adjacency sets; None if unreachable."""
+    adjacent = [set() for _ in range(n)]
+    for u, v in edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    hops = [None] * n
+    hops[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adjacent[u]:
+            if hops[v] is None:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    return hops
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph=edge_lists())
+@example(graph=(1, []))
+@example(graph=(12, [(0, 11), (3, 4), (10, 11)]))
+@example(graph=(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+def test_hops_match_python_bfs(graph):
+    n, edges = graph
+    g = from_edges(n, edges)
+    for u in range(n):
+        nbrs = g.neighbors(u).tolist()
+        assert nbrs == sorted({v for e in edges if u in e for v in e if v != u})
+        assert all(u in g.neighbors(v) for v in nbrs)
+    all_pairs = _hop_distances(g)
+    for s in range(n):
+        expect = python_bfs(n, edges, s)
+        row = bfs_hops(g, s)
+        assert row.dtype == np.uint32
+        assert row.tolist() == [UNREACHABLE if h is None else h for h in expect]
+        assert all_pairs[s].tolist() == [np.inf if h is None else h for h in expect]
 
 
 @settings(max_examples=60, deadline=None,
