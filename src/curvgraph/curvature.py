@@ -376,13 +376,13 @@ def vertex_curvature(g, l_e, samples_per_vertex, s_min_hops=None, s_max_hops=Non
     one sub-stream per vertex is spawned from ``rng``.  Returns an array
     with NaN for vertices with no accepted sample.
     """
+    if samples_per_vertex < 1:
+        raise ValueError("need samples_per_vertex >= 1")
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
     s_min_hops, s_max_hops = _hop_window(g, rng, s_min_hops, s_max_hops)
     n = g.vertex_count
     out = np.full(n, np.nan)
-    if samples_per_vertex < 1:
-        return out
     for v, stream in enumerate(rng.spawn(n)):
         # the apex's hop row is built once and shared by all its draws
         draw = partial(_triangle, g, l_e, s_min_hops, s_max_hops, apex_row=(v, bfs_hops(g, v)))

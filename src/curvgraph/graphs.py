@@ -5,19 +5,23 @@ sorted neighbour lists.  Hop counts are the combinatorial metric used by
 every estimator: exact unweighted shortest-path lengths from one kernel,
 :func:`_hop_distances`, which every hop read goes through.  Callers take
 them one source row at a time with :func:`bfs_hops`, so no all-pairs
-matrix is materialized for large graphs; only the small Sierpinski
-graphs ask the kernel for all pairs.  Because the stored matrix already
-holds both orientations of each edge, the kernel runs scipy's search as
-directed, which is exact here and skips a symmetrisation on every call.
-Graphs are immutable after construction.
+matrix is materialized for large graphs.  A row is scipy's breadth-first
+order from the source, cut into levels by a vectorised split, which
+takes about half the time of a single-source shortest-path call.  Only
+the small Sierpinski graphs ask for all pairs, which come from one
+scipy shortest-path call over every source: faster there than a loop of
+rows.  Because the stored matrix already holds both orientations of each
+edge, both searches run as directed, which is exact here and skips a
+symmetrisation on every call.  Graphs are immutable after construction.
 """
 
 import json
+import operator
 import warnings
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import Disconnected, InvalidInput
 from .manifolds import manifold_from_json
@@ -73,26 +77,52 @@ class Graph:
         return f"Graph(V={self.vertex_count}, E={self.edge_count})"
 
 
-def _hop_distances(g, sources=None):
-    """Hop counts from each of ``sources`` (all vertices when None) as float64, inf if unreachable.
+def _hop_distances(g, source=None):
+    """Hop counts as uint32, :data:`UNREACHABLE` where there is no path.
 
-    The package's one hop kernel.  ``directed=True`` is exact because the
-    adjacency already holds both orientations of every edge; it spares
-    scipy symmetrising the matrix again on every call.
+    The package's one hop kernel: the row from ``source``, or the
+    all-pairs matrix when ``source`` is None.  A row is scipy's
+    breadth-first order, which lists the reached vertices level by level,
+    split into levels: each vertex's parent comes no earlier in the order
+    than the previous vertex's parent, so level k + 1 ends just before the
+    first vertex whose parent lies beyond level k, found by one binary
+    search per level.  All pairs come from one ``dijkstra`` call over
+    every source, which beats a loop of rows on the Sierpinski graphs
+    that ask for them.  Both searches run as directed, which is exact
+    because the adjacency holds both orientations of every edge.
     """
-    return dijkstra(g.adjacency, directed=True, unweighted=True, indices=sources)
+    if source is None:
+        d = dijkstra(g.adjacency, directed=True, unweighted=True)
+        d[np.isinf(d)] = UNREACHABLE
+        return d.astype(np.uint32)
+    order, parents = breadth_first_order(g.adjacency, source, directed=True,
+                                         return_predecessors=True)
+    position = np.empty(g.vertex_count, dtype=np.intp)
+    position[order] = np.arange(order.size)
+    parent_position = position[parents[order[1:]]]  # nondecreasing
+    ends = [1]  # ends[k]: one past level k's last position in the order
+    while ends[-1] < order.size:
+        ends.append(1 + int(parent_position.searchsorted(ends[-1])))
+    out = np.full(g.vertex_count, UNREACHABLE, dtype=np.uint32)
+    out[order] = np.repeat(np.arange(len(ends), dtype=np.uint32), np.diff(ends, prepend=0))
+    return out
 
 
 def bfs_hops(g, source):
-    """Hop counts from ``source`` to every vertex.
+    """Hop counts from ``source`` to every vertex, as uint32.
 
-    Unreachable vertices get the sentinel :data:`UNREACHABLE`.
+    Unreachable vertices get the sentinel :data:`UNREACHABLE`; a source
+    that is not an integer in ``[0, V)`` raises ValueError (scipy's
+    search would wrap a negative one or fail on one past the end).
     """
-    d = _hop_distances(g, source)
-    out = np.full(g.vertex_count, UNREACHABLE, dtype=np.uint32)
-    finite = np.isfinite(d)
-    out[finite] = d[finite].astype(np.uint32)
-    return out
+    try:
+        source = operator.index(source)
+    except TypeError:
+        raise ValueError(f"source must be an integer vertex, not {source!r}") from None
+    if not 0 <= source < g.vertex_count:
+        raise ValueError(f"source {source} is not a vertex of a graph with "
+                         f"{g.vertex_count} vertices")
+    return _hop_distances(g, source)
 
 
 def is_connected(g):

@@ -126,6 +126,19 @@ def test_curvature_per_vertex(sphere_graph_prefix):
     assert len(payload["perVertex"]) == FIXTURE_V
 
 
+def test_curvature_sample_count_error(sphere_graph_prefix):
+    for samples in (0, -1):
+        for mode in ((), ("--per-vertex",)):
+            proc = run_cli("curvature", "--graph", sphere_graph_prefix, "--samples", samples,
+                           "--seed", 11, *mode, check=False)
+            assert proc.returncode == 1, (samples, mode)
+            assert proc.stdout == ""
+            err = json.loads(proc.stderr)
+            validate(err, "error")
+            assert err["error"] == "ValueError", err
+            assert err["message"] == f"need {'samples_per_vertex' if mode else 'n_samples'} >= 1"
+
+
 def test_wolfram_schema(sphere_graph_prefix):
     proc = run_cli("wolfram", "--graph", sphere_graph_prefix, "--vertices", 30, "--seed", 13)
     payload = json.loads(proc.stdout)

@@ -88,6 +88,14 @@ def test_hop_metric_axioms():
         assert rows[u][w] <= rows[u][v] + rows[v][w]
 
 
+def test_bfs_rejects_bad_source():
+    g = path(4)
+    for source in (-1, 4, 1.5, np.float64(2.0), "0", None):
+        with pytest.raises(ValueError):
+            bfs_hops(g, source)
+    assert list(bfs_hops(g, np.int64(3))) == [3, 2, 1, 0]
+
+
 def test_is_connected():
     assert is_connected(cycle(12))
     two_triangles = Graph(6, [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3])
@@ -147,6 +155,10 @@ def python_bfs(n, edges, source):
 @example(graph=(1, []))
 @example(graph=(12, [(0, 11), (3, 4), (10, 11)]))
 @example(graph=(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+@example(graph=(300, [(i, i + 1) for i in range(299)]))  # more than 255 levels
+@example(graph=(21, [(0, i) for i in range(1, 21)]))  # star
+@example(graph=(7, [(u, v) for u in range(3) for v in range(3, 7)]))  # K3,4
+@example(graph=(5, [(1, 2), (2, 3), (3, 4)]))  # source 0 is a singleton component
 def test_hops_match_python_bfs(graph):
     n, edges = graph
     g = from_edges(n, edges)
@@ -155,12 +167,13 @@ def test_hops_match_python_bfs(graph):
         assert nbrs == sorted({v for e in edges if u in e for v in e if v != u})
         assert all(u in g.neighbors(v) for v in nbrs)
     all_pairs = _hop_distances(g)
+    assert all_pairs.dtype == np.uint32 and all_pairs.shape == (n, n)
     for s in range(n):
-        expect = python_bfs(n, edges, s)
+        expect = [UNREACHABLE if h is None else h for h in python_bfs(n, edges, s)]
         row = bfs_hops(g, s)
         assert row.dtype == np.uint32
-        assert row.tolist() == [UNREACHABLE if h is None else h for h in expect]
-        assert all_pairs[s].tolist() == [np.inf if h is None else h for h in expect]
+        assert row.tolist() == expect
+        assert all_pairs[s].tolist() == expect
 
 
 @settings(max_examples=60, deadline=None,
