@@ -16,13 +16,12 @@ finite limit.
 import numpy as np
 
 import curvgraph as cg
-from curvgraph.fractal import triangle_counts
 from curvgraph.rng import substream
 
 print(f"{'n':>2} {'triangles':>10} {'mean K':>9} {'median':>8} {'std':>8}")
 for level in range(1, 5):
     sg = cg.sierpinski_graph(level)
-    counts = triangle_counts(cg.enumerate_fractal_triangles(sg))
+    counts = cg.enumerate_fractal_triangle_counts(sg)
     stats = cg.fractal_curvature_stats(counts, edge_scale=1.0, level=level)
     print(f"{level:>2} {stats['count']:>10} {stats['mean']:>9.3f} "
           f"{stats['median']:>8.3f} {stats['stdDev']:>8.3f}")

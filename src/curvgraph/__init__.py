@@ -38,10 +38,8 @@ from .earth import (
 from .fractal import (
     SierpinskiGraph,
     enumerate_fractal_triangle_counts,
-    enumerate_fractal_triangles,
     fractal_curvature_stats,
     sample_fractal_triangle_counts,
-    sample_fractal_triangles,
     sierpinski_graph,
 )
 from .graphs import (

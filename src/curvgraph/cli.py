@@ -12,8 +12,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .converge import run_sweep, sweep_csv, sweep_report
 from .curvature import estimate_curvature, vertex_curvature, write_column_csv
 from .distortion import default_sources, distortion_report
@@ -42,7 +40,9 @@ _TAG = {"sprinkle": 0, "distortion": 1, "curvature": 2, "wolfram": 3,
 
 def _emit(obj):
     obj = {"schemaVersion": SCHEMA_VERSION, **obj}
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    # a non-finite value raises ValueError (the error contract), never prints NaN
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _parse_manifold(text):
@@ -81,13 +81,8 @@ def _cmd_sprinkle(args):
 
 def _cmd_distortion(args):
     gg = load_geometric_graph(args.graph)
-    rng = substream(args.seed, _TAG["distortion"])
-    if args.sources is not None:
-        sources = np.sort(rng.choice(gg.vertex_count,
-                                     size=min(args.sources, gg.vertex_count),
-                                     replace=False))
-    else:
-        sources = default_sources(gg.vertex_count, rng)
+    sources = default_sources(gg.vertex_count, substream(args.seed, _TAG["distortion"]),
+                              args.sources)
     rep = distortion_report(gg, sources=sources)
     _emit(rep.to_json())
 

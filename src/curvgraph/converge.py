@@ -29,11 +29,15 @@ class ConvergencePoint:
     failures: int = 0
 
     def to_json(self):
+        """JSON form; a value left NaN by a count with no usable graph is null."""
+        def finite(x):
+            return x if np.isfinite(x) else None
+
         return {
             "vertexCount": self.vertex_count,
-            "meanDistortion": self.mean_distortion,
-            "meanAbsoluteError": self.mean_absolute_error,
-            "absoluteErrorOfMean": self.absolute_error_of_mean,
+            "meanDistortion": finite(self.mean_distortion),
+            "meanAbsoluteError": finite(self.mean_absolute_error),
+            "absoluteErrorOfMean": finite(self.absolute_error_of_mean),
             "seeds": [int(s) for s in self.seeds],
             "failures": self.failures,
         }
@@ -65,7 +69,7 @@ def linear_fit(xs, ys):
 
 
 def run_sweep(manifold, true_k, vertex_counts, seeds_per_count, samples_per_graph,
-              master_seed, p=DEFAULT_TOLERANCE):
+              master_seed):
     """ConvergencePoint per vertex count, pooling samples across seeds.
 
     Per-graph failures (no connected length, too few accepted samples) are
@@ -81,7 +85,7 @@ def run_sweep(manifold, true_k, vertex_counts, seeds_per_count, samples_per_grap
             stream = substream(master_seed, count_idx, seed_idx)
             seeds.append(seed_idx)
             try:
-                gg = sprinkle(manifold, n, p, rng=stream)
+                gg = sprinkle(manifold, n, DEFAULT_TOLERANCE, rng=stream)
                 rep = distortion_report(gg, rng=stream)
                 cur = estimate_curvature(
                     gg.graph, rep.effective_edge_length, samples_per_graph, rng=stream,

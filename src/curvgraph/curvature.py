@@ -252,7 +252,7 @@ def default_hop_window(g, rng):
     return max(2, math.ceil(diam / 3)), diam
 
 
-def sample_triangle(g, l_e, s_min_hops, s_max_hops, rng, retries=_RETRIES, apex=None):
+def sample_triangle(g, l_e, s_min_hops, s_max_hops, rng, apex=None):
     """Construct one approximate right triangle from hop distances.
 
     All three sides are required to reach the minimum hop scale: the
@@ -265,16 +265,16 @@ def sample_triangle(g, l_e, s_min_hops, s_max_hops, rng, retries=_RETRIES, apex=
     when no valid triple is found within the retry budget.
     """
     apex_row = None if apex is None else (int(apex), bfs_hops(g, int(apex)))
-    return _triangle(g, l_e, s_min_hops, s_max_hops, rng, retries, apex_row)
+    return _triangle(g, l_e, s_min_hops, s_max_hops, rng, apex_row)
 
 
-def _triangle(g, l_e, s_min_hops, s_max_hops, rng, retries=_RETRIES, apex_row=None):
+def _triangle(g, l_e, s_min_hops, s_max_hops, rng, apex_row=None):
     """sample_triangle's search; ``apex_row`` is a fixed apex and its hop row, or None."""
     if not 2 <= s_min_hops <= s_max_hops:
         raise ValueError("need 2 <= s_min_hops <= s_max_hops")
     c_min = math.ceil(math.sqrt(2.0) * s_min_hops)
     n = g.vertex_count
-    for _ in range(retries):
+    for _ in range(_RETRIES):
         if apex_row is None:
             u = int(rng.integers(n))
             du = bfs_hops(g, u)
@@ -306,7 +306,7 @@ def _triangle(g, l_e, s_min_hops, s_max_hops, rng, retries=_RETRIES, apex_row=No
             apex=u, base_end1=v, base_end2=w, midpoint=mid,
             hops=(a_h, b_h, c_h),
         )
-    raise NoCandidate(f"no valid triangle after {retries} retries")
+    raise NoCandidate(f"no valid triangle after {_RETRIES} retries")
 
 
 def solve_triangles(draw, streams, max_length_scale=None):

@@ -77,11 +77,17 @@ def metric_distortion(log_ratios):
     return float(np.abs(log_ratios - log_ratios.mean()).mean())
 
 
-def default_sources(vertex_count, rng):
-    """All vertices up to FULL_SOURCE_LIMIT, else a fixed-size random sample."""
-    if vertex_count <= FULL_SOURCE_LIMIT:
+def default_sources(vertex_count, rng, count=None):
+    """All vertices when ``count`` covers them, else a sorted random sample of ``count``.
+
+    Without ``count``, every vertex up to FULL_SOURCE_LIMIT and
+    SAMPLED_SOURCES of them above it.
+    """
+    if count is None:
+        count = vertex_count if vertex_count <= FULL_SOURCE_LIMIT else SAMPLED_SOURCES
+    if count >= vertex_count:
         return np.arange(vertex_count)
-    return np.sort(rng.choice(vertex_count, size=SAMPLED_SOURCES, replace=False))
+    return np.sort(rng.choice(vertex_count, size=count, replace=False))
 
 
 def distortion_report(gg, rng=None, sources=None):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import RootNotFound, TriangleSample, curvature_from_triangle
+from .curvature import RootNotFound, curvature_from_triangle
 from .errors import LevelTooLarge, SamplingStalled, TriangleInequalityViolated
 from .graphs import Graph, _hop_distances
 
@@ -129,16 +129,23 @@ def _build_pair_table(hops):
                      *lists(lambda dv, dw, h: dv == dw))
 
 
-def _quadruples(sg):
-    """Valid (pair k, apex u, midpoint m, hops a, b, c) rows, as array blocks.
+def enumerate_fractal_triangle_counts(sg):
+    """{(a,b,c) hop triple: count} over every even-base isosceles quadruple.
 
-    Expands about _BLOCK candidates at a time, by pair, then apex, then midpoint.
+    A quadruple is (u, {v,w}, m) with d(u,v) = d(u,w) = c, d(v,w) = 2b
+    even, m a shortest-path midpoint (all qualifying midpoints counted),
+    a = d(u,m) >= 1, and strict triangle inequalities on (a, b, c) in unit
+    edge lengths.  Levels 5-6 have millions of quadruples but only a few
+    thousand distinct shapes, so candidates are expanded about _BLOCK at a
+    time, by pair, then apex, then midpoint, and only tallied.
     """
     t, hops = sg.pair_table(), sg.all_hops()
     n_mid = np.diff(t.mid_ptr)
     cand = n_mid * np.diff(t.apex_ptr)
     ends = np.cumsum(cand)
     starts = ends - cand
+    side = 2**sg.level + 1  # every hop distance is below this
+    totals = np.zeros(side**3, dtype=np.int64)
     k0 = 0
     while k0 < t.v.size:
         k1 = max(k0 + 1, int(np.searchsorted(ends, starts[k0] + _BLOCK, side="right")))
@@ -148,65 +155,25 @@ def _quadruples(sg):
         m = t.mids[t.mid_ptr[k] + rank % n_mid[k]]
         a, b, c = hops[u, m], t.half[k], hops[t.v[k], u]
         ok = (a >= 1) & (a < b + c) & (b < a + c) & (c < a + b)
-        yield k[ok], u[ok], m[ok], a[ok], b[ok], c[ok]
-        k0 = k1
-
-
-def _triangle(a, b, c, u, v, w, m):
-    return TriangleSample(a=float(a), b=float(b), c=float(c), apex=u, base_end1=v,
-                          base_end2=w, midpoint=m, hops=(a, b, c))
-
-
-def enumerate_fractal_triangles(sg):
-    """Every even-base isosceles triangle quadruple (u, {v,w}, m), exhaustively.
-
-    Conditions: d(u,v) = d(u,w) = c, d(v,w) = 2b even, m a shortest-path
-    midpoint (all qualifying midpoints enumerated), a = d(u,m) >= 1, and
-    strict triangle inequalities on (a, b, c) in unit edge lengths.
-    """
-    t = sg.pair_table()
-    return [_triangle(*row) for k, u, m, a, b, c in _quadruples(sg)
-            for row in zip(*(x.tolist() for x in (a, b, c, u, t.v[k], t.w[k], m)))]
-
-
-def enumerate_fractal_triangle_counts(sg):
-    """Exhaustive {(a,b,c) hop triple: count} over the same quadruples.
-
-    Equivalent to ``triangle_counts(enumerate_fractal_triangles(sg))``
-    without materializing per-quadruple samples; levels 5-6 produce
-    millions of quadruples but only a few thousand distinct shapes.
-    """
-    side = 2**sg.level + 1  # every hop distance is below this
-    totals = np.zeros(side**3, dtype=np.int64)
-    for _, _, _, a, b, c in _quadruples(sg):
-        block = np.bincount((a * side + b) * side + c)
+        block = np.bincount(((a * side + b) * side + c)[ok])
         totals[:block.size] += block
+        k0 = k1
     keys = np.nonzero(totals)[0]
     shapes = zip((keys // side**2).tolist(), (keys // side % side).tolist(),
                  (keys % side).tolist())
     return dict(zip(shapes, totals[keys].tolist()))
 
 
-def sample_fractal_triangles(sg, m, rng):
-    """m samples uniform over the enumerated quadruples, by rejection.
+def sample_fractal_triangle_counts(sg, m, rng):
+    """{(a,b,c) hops: count} of m draws uniform over the enumerated quadruples.
 
     Draws a uniform even-base pair, a uniform qualifying midpoint and a
     uniform equidistant apex, then accepts with probability proportional
     to the pair's candidate-set product so that every quadruple is equally
     likely; draws failing the validity conditions are retried.
     """
-    return _sample_impl(sg, m, rng, keep_samples=True)[1]
-
-
-def sample_fractal_triangle_counts(sg, m, rng):
-    """Like sample_fractal_triangles but returns {(a,b,c) hops: count}.
-
-    Constant-memory variant for large m.
-    """
-    return _sample_impl(sg, m, rng, keep_samples=False)[0]
-
-
-def _sample_impl(sg, m, rng, keep_samples):
+    if m < 1:
+        raise ValueError("need m >= 1")
     t, hops = sg.pair_table(), sg.all_hops()
     if t.v.size == 0:
         raise SamplingStalled("no even-base pairs exist at this level")
@@ -215,7 +182,6 @@ def _sample_impl(sg, m, rng, keep_samples):
     weight = n_mid.astype(np.float64) * n_apex
     w_max = float(weight.max())
     counts = Counter()
-    samples = [] if keep_samples else None
     accepted = 0
     consecutive_rejects = 0
     batch = 4096
@@ -228,8 +194,8 @@ def _sample_impl(sg, m, rng, keep_samples):
             if consecutive_rejects >= _STALL_LIMIT:
                 raise SamplingStalled(f"{consecutive_rejects} consecutive rejections")
             continue
-        cols = (t.v, t.w, t.half, t.mid_ptr, n_mid, t.apex_ptr, n_apex)
-        for v, w, half, m0, nm, u0, nu in zip(*(x[survivors].tolist() for x in cols)):
+        cols = (t.v, t.half, t.mid_ptr, n_mid, t.apex_ptr, n_apex)
+        for v, half, m0, nm, u0, nu in zip(*(x[survivors].tolist() for x in cols)):
             if accepted >= m:
                 break
             mid = int(t.mids[m0 + rng.integers(nm)])
@@ -243,14 +209,7 @@ def _sample_impl(sg, m, rng, keep_samples):
             consecutive_rejects = 0
             accepted += 1
             counts[a, half, c] += 1
-            if keep_samples:
-                samples.append(_triangle(a, half, c, u, v, w, mid))
-    return counts, samples
-
-
-def triangle_counts(samples):
-    """Collapse TriangleSamples to {(a,b,c) hop triple: count}."""
-    return Counter(s.hops if s.hops is not None else (s.a, s.b, s.c) for s in samples)
+    return counts
 
 
 def solve_shapes(counts, edge_scale, level):
@@ -271,15 +230,13 @@ def solve_shapes(counts, edge_scale, level):
     return solved, rejected
 
 
-def fractal_curvature_stats(samples, edge_scale, level):
+def fractal_curvature_stats(counts, edge_scale, level):
     """Statistics of the curvature distribution, scaled by edge_scale^(-2n).
 
     Choosing edge length edge_scale^n at iteration n rescales every
     curvature by edge_scale^(-2n); edge_scale = 1 reproduces the raw
-    unit-edge statistics.  ``samples`` may be a TriangleSample list or a
-    {(a,b,c): count} mapping.
+    unit-edge statistics.  ``counts`` maps (a,b,c) hop triples to counts.
     """
-    counts = samples if isinstance(samples, dict) else triangle_counts(samples)
     solved, rejected = solve_shapes(counts, edge_scale, level)
     ks, weights = zip(*solved) if solved else ((), ())
     total = int(sum(weights))

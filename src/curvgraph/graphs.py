@@ -40,7 +40,8 @@ class Graph:
     def __init__(self, vertex_count, edges_u, edges_v):
         edges_u = np.asarray(edges_u, dtype=np.int64)
         edges_v = np.asarray(edges_v, dtype=np.int64)
-        if edges_u.size and (edges_u.min() < 0 or max(edges_u.max(), edges_v.max()) >= vertex_count):
+        if edges_u.size and (min(edges_u.min(), edges_v.min()) < 0
+                             or max(edges_u.max(), edges_v.max()) >= vertex_count):
             raise ValueError("edge endpoint out of range")
         if np.any(edges_u == edges_v):
             raise ValueError("self-loops are not allowed")

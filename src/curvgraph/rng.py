@@ -18,16 +18,11 @@ def substream(seed, *path):
     return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, *map(int, path)])
 
 
-def chunk_ranges(n, chunk=CHUNK):
-    """Split ``range(n)`` into consecutive (start, stop) chunk bounds."""
-    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-
-
 def chunk_streams(n, rng):
     """(sample count, sub-stream) of each chunk of ``range(n)``, in chunk order.
 
     One stream per chunk is spawned from ``rng`` up front; running the
     chunks in this order keeps every seeded result.
     """
-    chunks = chunk_ranges(n)
-    return [(hi - lo, stream) for (lo, hi), stream in zip(chunks, rng.spawn(len(chunks)))]
+    sizes = [min(CHUNK, n - lo) for lo in range(0, n, CHUNK)]
+    return list(zip(sizes, rng.spawn(len(sizes))))

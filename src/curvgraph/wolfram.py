@@ -90,14 +90,13 @@ def wolfram_ricci_K(profile, l_e):
                    radii_used=int(usable.sum()))
 
 
-def estimate_wolfram(g, l_e, n_vertices, rng, r_max_hops=None):
+def estimate_wolfram(g, l_e, n_vertices, rng):
     """Curvature report from ball-volume fits at sampled center vertices."""
     if not is_connected(g):
         raise Disconnected("ball-volume estimation requires a connected graph")
     n = g.vertex_count
-    if r_max_hops is None:
-        # headroom past the unit-curvature cap so the re-fit can widen
-        r_max_hops = max(3, math.ceil(1.5 / l_e))
+    # headroom past the unit-curvature cap so the re-fit can widen
+    r_max_hops = max(3, math.ceil(1.5 / l_e))
     centers = rng.choice(n, size=min(n_vertices, n), replace=False)
     ks = []
     rejected = Counter()

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 import curvgraph as cg
-from curvgraph.fractal import triangle_counts
 from curvgraph.rng import substream
 from curvgraph.wolfram import VOLUME_QUARTIC
 
 from cli_env import cli_env
+from sierpinski_oracle import brute_force_counts
 
 SPHERE_SEED = 101
 HYP_SEED = 202
@@ -240,30 +240,6 @@ def test_criterion_8_earth():
                          f"KS {[round(k, 4) for k in kss]}, {elapsed:.0f}s")
 
 
-def _brute_force_counts(sg):
-    n = sg.graph.vertex_count
-    dist = [list(map(int, cg.bfs_hops(sg.graph, v))) for v in range(n)]
-    counts = {}
-    for v in range(n):
-        for w in range(v + 1, n):
-            dvw = dist[v][w]
-            if dvw < 2 or dvw % 2:
-                continue
-            half = dvw // 2
-            for m in range(n):
-                if dist[v][m] != half or dist[w][m] != half:
-                    continue
-                for u in range(n):
-                    c = dist[u][v]
-                    if dist[u][w] != c:
-                        continue
-                    a = dist[u][m]
-                    if a >= 1 and a < half + c and half < a + c and c < a + half:
-                        key = (a, half, c)
-                        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def _positive_tail_slope(counts, min_count=10):
     """Log-log slope of the positive-curvature histogram tail."""
     ks, weights = [], []
@@ -298,10 +274,10 @@ def test_criterion_9_fractal():
     enum_ok = True
     for level in (1, 2):
         sg = cg.sierpinski_graph(level)
-        got = triangle_counts(cg.enumerate_fractal_triangles(sg))
-        enum_ok &= got == _brute_force_counts(sg)
+        got = cg.enumerate_fractal_triangle_counts(sg)
+        enum_ok &= got == brute_force_counts(sg)
 
-    counts2 = triangle_counts(cg.enumerate_fractal_triangles(cg.sierpinski_graph(2)))
+    counts2 = cg.enumerate_fractal_triangle_counts(cg.sierpinski_graph(2))
     ks2 = [cg.curvature_from_triangle(float(a), float(b), float(c)) for (a, b, c) in counts2]
     signs_ok = any(k > 0 for k in ks2) and any(k < 0 for k in ks2)
 

@@ -155,6 +155,18 @@ def test_converge_schema(tmp_path):
     validate(payload, "sweep_report")
     assert len(payload["points"]) == 2
     assert csv.read_text().startswith("vertexCount,")
+    def reject(name):
+        raise AssertionError(f"non-JSON constant {name}")
+
+    # a count with no usable graph (too few vertices, or no seeds) reports
+    # null, not NaN: Python's parser and jsonschema would both accept NaN
+    for counts, seeds_per in (("3,4", 1), ("120", 0)):
+        proc = run_cli("converge", "--manifold", '{"type":"sphere2","radius":1.0}',
+                       "--true-k", 1.0, "--counts", counts, "--seeds-per", seeds_per,
+                       "--samples", 10, "--seed", 1)
+        payload = json.loads(proc.stdout, parse_constant=reject)
+        validate(payload, "sweep_report")
+        assert [p["meanDistortion"] for p in payload["points"]] == [None] * len(counts.split(","))
 
 
 def test_fractal_exact_and_sampled(tmp_path):
@@ -225,6 +237,8 @@ def test_error_exit_json(tmp_path):
     (tmp_path / "ok.edges").write_text("3 2\n0 1\n1 2\n")
     (tmp_path / "ok.json").write_text(json.dumps(
         {**sidecar, "coordinates": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]}))
+    (tmp_path / "neg.edges").write_text("3 1\n0 -1\n")
+    (tmp_path / "neg.json").write_text((tmp_path / "ok.json").read_text())
     sprinkle = ("sprinkle", "--n", 10, "--seed", 1, "--out", tmp_path / "x", "--manifold")
     # flags that --per-vertex has no use for
     per_vertex = ("curvature", "--graph", tmp_path / "ok", "--per-vertex", "--samples", 2,
@@ -242,3 +256,14 @@ def test_error_exit_json(tmp_path):
         err = json.loads(proc.stderr)
         validate(err, "error")
         assert err["error"] == "InvalidInput", err
+    # out-of-range values: a negative edge endpoint, a fractal sample count below 1
+    for args, message in [(("distortion", "--graph", tmp_path / "neg", "--seed", 1),
+                           "edge endpoint out of range"),
+                          (("fractal", "--level", 2, "--samples", 0, "--seed", 1), "need m >= 1"),
+                          (("fractal", "--level", 2, "--samples", -5, "--seed", 1), "need m >= 1")]:
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 1, args
+        assert proc.stdout == ""
+        err = json.loads(proc.stderr)
+        validate(err, "error")
+        assert (err["error"], err["message"]) == ("ValueError", message)

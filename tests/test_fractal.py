@@ -7,15 +7,13 @@ from curvgraph import (
     bfs_hops,
     curvature_from_triangle,
     enumerate_fractal_triangle_counts,
-    enumerate_fractal_triangles,
     fractal_curvature_stats,
     sample_fractal_triangle_counts,
-    sample_fractal_triangles,
     sierpinski_graph,
 )
 from curvgraph import fractal
 from curvgraph.errors import LevelTooLarge, SamplingStalled
-from curvgraph.fractal import triangle_counts
+from sierpinski_oracle import brute_force_counts
 
 
 @pytest.mark.parametrize("level", range(6))
@@ -53,52 +51,16 @@ def test_level_guard():
         sierpinski_graph(7).all_hops()
 
 
-def brute_force_quadruples(sg):
-    """Independent O(V^4) oracle over all (u, {v,w}, m) quadruples."""
-    n = sg.graph.vertex_count
-    dist = [list(map(int, bfs_hops(sg.graph, v))) for v in range(n)]
-    found = []
-    for v in range(n):
-        for w in range(v + 1, n):
-            dvw = dist[v][w]
-            if dvw < 2 or dvw % 2:
-                continue
-            half = dvw // 2
-            for m in range(n):
-                if dist[v][m] != half or dist[w][m] != half:
-                    continue
-                for u in range(n):
-                    c = dist[u][v]
-                    if dist[u][w] != c:
-                        continue
-                    a = dist[u][m]
-                    if a < 1:
-                        continue
-                    if a < half + c and half < a + c and c < a + half:
-                        found.append((a, half, c))
-    counts = {}
-    for key in found:
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def test_enumeration_empty_at_level_zero():
-    assert enumerate_fractal_triangles(sierpinski_graph(0)) == []
-
-
-@pytest.mark.parametrize("level", [1, 2])
-def test_enumeration_matches_brute_force(level):
-    sg = sierpinski_graph(level)
-    got = triangle_counts(enumerate_fractal_triangles(sg))
-    oracle = brute_force_quadruples(sg)
-    assert got == oracle
+    assert enumerate_fractal_triangle_counts(sierpinski_graph(0)) == {}
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
-def test_count_enumeration_equals_sample_enumeration(level):
+def test_enumeration_matches_brute_force(level):
     sg = sierpinski_graph(level)
-    assert (enumerate_fractal_triangle_counts(sg)
-            == triangle_counts(enumerate_fractal_triangles(sg)))
+    got = enumerate_fractal_triangle_counts(sg)
+    oracle = brute_force_counts(sg)
+    assert got == oracle
 
 
 def test_pair_table_matches_definition():
@@ -123,33 +85,32 @@ def test_blocks_smaller_than_a_pair(monkeypatch):
     # still yields each quadruple exactly once
     monkeypatch.setattr(fractal, "_BLOCK", 5)
     sg = sierpinski_graph(2)
-    assert enumerate_fractal_triangle_counts(sg) == brute_force_quadruples(sg)
-    assert triangle_counts(enumerate_fractal_triangles(sg)) == brute_force_quadruples(sg)
+    assert enumerate_fractal_triangle_counts(sg) == brute_force_counts(sg)
 
 
 def test_level_one_enumeration_values():
     # at level 1 every even base has length 2; the valid shapes are
     # (a, b, c) = (1, 1, 1) and (2, 1, 2) by direct inspection
-    counts = triangle_counts(enumerate_fractal_triangles(sierpinski_graph(1)))
+    counts = enumerate_fractal_triangle_counts(sierpinski_graph(1))
     assert set(counts) == {(1, 1, 1), (2, 1, 2)}
 
 
 def test_sampling_stalled_at_level_zero():
     with pytest.raises(SamplingStalled):
-        sample_fractal_triangles(sierpinski_graph(0), 5, np.random.default_rng(0))
+        sample_fractal_triangle_counts(sierpinski_graph(0), 5, np.random.default_rng(0))
 
 
 def test_sampling_deterministic():
     sg = sierpinski_graph(2)
-    s1 = sample_fractal_triangles(sg, 50, np.random.default_rng(3))
-    s2 = sample_fractal_triangles(sg, 50, np.random.default_rng(3))
-    assert [t.hops for t in s1] == [t.hops for t in s2]
+    s1 = sample_fractal_triangle_counts(sg, 50, np.random.default_rng(3))
+    s2 = sample_fractal_triangle_counts(sg, 50, np.random.default_rng(3))
+    assert s1 == s2
 
 
 def test_sampling_matches_enumeration_frequencies():
     # empirical shape frequencies within 4 sigma of the exact enumeration
     sg = sierpinski_graph(1)
-    exact = triangle_counts(enumerate_fractal_triangles(sg))
+    exact = enumerate_fractal_triangle_counts(sg)
     total_exact = sum(exact.values())
     n = 20000
     sampled = sample_fractal_triangle_counts(sg, n, np.random.default_rng(4))
@@ -161,18 +122,18 @@ def test_sampling_matches_enumeration_frequencies():
 
 
 def test_signs_at_level_two():
-    counts = triangle_counts(enumerate_fractal_triangles(sierpinski_graph(2)))
+    counts = enumerate_fractal_triangle_counts(sierpinski_graph(2))
     ks = [curvature_from_triangle(float(a), float(b), float(c)) for (a, b, c) in counts]
     assert any(k > 0 for k in ks) and any(k < 0 for k in ks)
 
 
 def test_stats_identity_scale():
-    sg = sierpinski_graph(1)
-    tris = enumerate_fractal_triangles(sg)
-    stats = fractal_curvature_stats(tris, 1.0, 1)
-    # oracle: solve each enumerated shape independently and average
-    ks = np.array([curvature_from_triangle(*t.sides()) for t in tris])
-    assert stats["count"] == len(tris)
+    counts = enumerate_fractal_triangle_counts(sierpinski_graph(1))
+    stats = fractal_curvature_stats(counts, 1.0, 1)
+    # oracle: solve each enumerated quadruple's shape independently and average
+    ks = np.array([curvature_from_triangle(float(a), float(b), float(c))
+                   for (a, b, c), n in counts.items() for _ in range(n)])
+    assert stats["count"] == len(ks)
     assert stats["mean"] == pytest.approx(ks.mean(), rel=1e-12)
     assert stats["stdDev"] == pytest.approx(ks.std(), rel=1e-12)
     # the weighted median picks an actual sample value
@@ -180,15 +141,14 @@ def test_stats_identity_scale():
 
 
 def test_stats_edge_scale_linearity():
-    sg = sierpinski_graph(2)
-    tris = enumerate_fractal_triangles(sg)
-    base = fractal_curvature_stats(tris, 1.0, 2)
-    scaled = fractal_curvature_stats(tris, 0.5, 2)
+    counts = enumerate_fractal_triangle_counts(sierpinski_graph(2))
+    base = fractal_curvature_stats(counts, 1.0, 2)
+    scaled = fractal_curvature_stats(counts, 0.5, 2)
     assert scaled["mean"] == pytest.approx(16.0 * base["mean"], rel=1e-12)
     assert scaled["median"] == pytest.approx(16.0 * base["median"], rel=1e-12)
     assert scaled["stdDev"] == pytest.approx(16.0 * base["stdDev"], rel=1e-12)
 
 
 def test_stats_empty():
-    stats = fractal_curvature_stats([], 1.0, 0)
+    stats = fractal_curvature_stats({}, 1.0, 0)
     assert stats["count"] == 0 and stats["empty"] is True
