@@ -63,6 +63,18 @@ def test_enumeration_matches_brute_force(level):
     assert got == oracle
 
 
+@pytest.mark.parametrize("level", [1, 2])
+def test_count_enumeration_equals_sample_enumeration(level):
+    # the sampler reaches exactly the enumerated shapes: at level 2 the
+    # rarest shape has weight 3/93, so 4000 draws miss it with
+    # probability about e^-129
+    sg = sierpinski_graph(level)
+    exact = enumerate_fractal_triangle_counts(sg)
+    sampled = sample_fractal_triangle_counts(sg, 4000, np.random.default_rng(level))
+    assert sum(sampled.values()) == 4000
+    assert set(sampled) == set(exact)
+
+
 def test_pair_table_matches_definition():
     sg = sierpinski_graph(4)  # several build blocks
     hops = [list(map(int, bfs_hops(sg.graph, v))) for v in range(sg.graph.vertex_count)]
