@@ -80,6 +80,8 @@ def _cmd_sprinkle(args):
 
 
 def _cmd_distortion(args):
+    if args.sources is not None and args.sources < 1:
+        raise InvalidInput(f"--sources must be at least 1, got {args.sources}")
     gg = load_geometric_graph(args.graph)
     sources = default_sources(gg.vertex_count, substream(args.seed, _TAG["distortion"]),
                               args.sources)

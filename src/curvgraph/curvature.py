@@ -8,8 +8,11 @@ and hypotenuse c in constant sectional curvature K is
 where for K < 0 the identity cos(i s) = cosh(s) applies.  K = 0 is always
 a trivial root; besides it the equation has exactly one root in
 (-inf, pi^2 / max(a,b,c)^2], whose sign equals sign(a^2 + b^2 - c^2), and
-that root is the curvature estimate.  The solver deflates the trivial root
-and locates the other one by sign-change scanning plus bisection.
+that root is the curvature estimate.  The solver divides out the trivial
+root and finds the other with one brentq call on a closed-form bracket:
+[0, pi^2 / max(a,b,c)^2] when a^2 + b^2 > c^2, where the longest side
+reaches pi at the upper end, and [-(3 ln 2 / (a + b - c))^2, 0] otherwise,
+from log cosh x >= x - ln 2.
 
 On a graph, approximate right triangles are built from hop distances:
 pick an apex u, two vertices v, w at equal hop distance from u with an
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.stats import trim_mean
 
 from .errors import (
@@ -38,9 +42,6 @@ from .graphs import bfs_hops, diameter_estimate, is_connected
 from .rng import chunk_streams
 
 _FLAT_REL_TOL = 1e-12     # |a^2+b^2-c^2| below this (relative to c^2) is flat
-_ROOT_REL_TOL = 1e-10
-_POS_SCAN_CELLS = 256
-_NEG_SCAN_DOUBLINGS = 60
 _RETRIES = 64             # triangle constructions tried per sample
 
 
@@ -149,23 +150,11 @@ def _check_triangle(a, b, c):
 
 
 def _logcosh(x):
+    """log cosh x, as log1p(2 sinh^2(x/2)) so that small x keeps its digits."""
     x = abs(x)
-    return x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
-
-
-def _bisect(f, lo, hi, flo, rel_tol):
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * hi:
-            break
-    return 0.5 * (lo + hi)
+    if x > 300.0:
+        return x - math.log(2.0)
+    return math.log1p(2.0 * math.sinh(0.5 * x) ** 2)
 
 
 def curvature_from_triangle(a, b, c):
@@ -180,46 +169,29 @@ def curvature_from_triangle(a, b, c):
     if abs(gap) <= _FLAT_REL_TOL * c * c:
         return 0.0
 
-    m = max(a, b, c)
-    if gap > 0:
-        # Positive branch.  Divide out the trivial K=0 root; the deflated
-        # function tends to gap/2 > 0 at 0+, and is <= 0 somewhere before
-        # K_max = pi^2/m^2 (no triangle fits a smaller sphere).
-        def g(k):
+    def residual(k):
+        # the cosine rule with the trivial root K = 0 divided out; it tends
+        # to gap/2 from both sides.  K = -t^2 compares log-cosh, which keeps
+        # the sign of cosh(ct) - cosh(at) cosh(bt) without overflow.
+        if k > 0:
             s = math.sqrt(k)
             return (math.cos(c * s) - math.cos(a * s) * math.cos(b * s)) / k
+        if k < 0:
+            t = math.sqrt(-k)
+            return (_logcosh(c * t) - _logcosh(a * t) - _logcosh(b * t)) / k
+        return gap / 2.0
 
-        k_max = math.pi * math.pi / (m * m)
-        step = k_max / _POS_SCAN_CELLS
-        lo, glo = 0.0, gap / 2.0
-        for i in range(1, _POS_SCAN_CELLS + 1):
-            k = i * step
-            gk = g(k)
-            if gk == 0.0:
-                return k
-            if (gk > 0) != (glo > 0):
-                return _bisect(g, lo, k, glo, _ROOT_REL_TOL)
-            lo, glo = k, gk
-        raise RootNotFound(f"no sign change on the positive branch for {(a, b, c)}")
-
-    # Negative branch: substitute K = -t^2, giving cosh(c t) = cosh(a t) cosh(b t).
-    # Comparing log-cosh keeps the same sign structure without overflow.
-    def h(t):
-        return _logcosh(c * t) - _logcosh(a * t) - _logcosh(b * t)
-
-    t_prev = 0.0
-    t = 1e-3 / m
-    h_prev = 1.0  # analytic sign at 0+ is that of c^2 - a^2 - b^2 > 0
-    for _ in range(_NEG_SCAN_DOUBLINGS + 1):
-        ht = h(t)
-        if ht == 0.0:
-            return -t * t
-        if ht < 0:
-            root = _bisect(h, t_prev, t, h_prev, 0.5 * _ROOT_REL_TOL)
-            return -root * root
-        t_prev, h_prev = t, ht
-        t *= 2.0
-    raise RootNotFound(f"no sign change on the negative branch for {(a, b, c)}")
+    if gap > 0:
+        # the longest side reaches pi at the upper end, where the strict
+        # triangle inequality makes the residual negative
+        bracket = (0.0, (math.pi / max(a, b, c)) ** 2)
+    else:
+        # log cosh x >= x - ln 2 makes the residual positive at the lower end
+        bracket = (-(3.0 * math.log(2.0) / (a + b - c)) ** 2, 0.0)
+    try:
+        return brentq(residual, *bracket, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    except (ValueError, RuntimeError) as exc:
+        raise RootNotFound(f"no root in {bracket} for {(a, b, c)}: {exc}") from exc
 
 
 def forward_hypotenuse(a, b, curvature):
@@ -234,8 +206,11 @@ def forward_hypotenuse(a, b, curvature):
             raise ValueError("legs do not fit on the sphere")
         return math.acos(max(-1.0, min(1.0, math.cos(a * s) * math.cos(b * s)))) / s
     if curvature < 0:
+        # acosh z = ln z + log1p(sqrt(1 - z^-2)) with ln z = log cosh(at) + log cosh(bt),
+        # so that long sides do not overflow cosh
         t = math.sqrt(-curvature)
-        return math.acosh(math.cosh(a * t) * math.cosh(b * t)) / t
+        log_z = _logcosh(a * t) + _logcosh(b * t)
+        return (log_z + math.log1p(math.sqrt(-math.expm1(-2.0 * log_z)))) / t
     return math.hypot(a, b)
 
 
@@ -316,6 +291,9 @@ def solve_triangles(draw, streams, max_length_scale=None):
     returns one TriangleSample or raises NoCandidate.  A triangle with a
     side above ``max_length_scale`` is rejected without a root solve.
     """
+    if max_length_scale is not None and not 0 < max_length_scale < math.inf:
+        raise ValueError(f"max_length_scale must be None or finite and > 0, "
+                         f"got {max_length_scale!r}")
     ks = []
     rejected = Counter()
     for count, stream in streams:

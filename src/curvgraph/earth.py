@@ -68,12 +68,15 @@ def expected_radius_cdf(radius_km):
     return np.minimum(2.0 * _PDF_COEFF * np.sqrt(clipped - _PDF_LO), 1.0)
 
 
+def _quarter_minor_circumference(spheroid):
+    return 0.5 * math.pi * spheroid.polar_radius
+
+
 def sample_spheroid_triangle(spheroid, leg_a, leg_b, rng):
     """One geodesic right triangle (legA, legB, averaged hypotenuse)."""
     if not (leg_a > 0 and leg_b > 0):
         raise ValueError("legs must be positive")
-    quarter = 0.5 * math.pi * spheroid.polar_radius
-    if max(leg_a, leg_b) >= quarter:
+    if max(leg_a, leg_b) >= _quarter_minor_circumference(spheroid):
         raise ValueError("legs must stay below a quarter of the minor circumference")
     rejections = 0
     while True:
@@ -150,6 +153,9 @@ def estimate_earth_radius(spheroid=None, n_samples=10**4, leg_range=DEFAULT_LEG_
         spheroid = earth_spheroid()
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
+    if not 0 < leg_range[0] <= leg_range[1] < _quarter_minor_circumference(spheroid):
+        raise ValueError(f"leg_range must satisfy 0 < min <= max < a quarter of the minor "
+                         f"circumference, got {tuple(leg_range)}")
 
     def draw(stream):
         leg_a = stream.uniform(*leg_range)

@@ -15,6 +15,7 @@ sampling reproduces exactly the uniform distribution over the enumerated
 quadruples.
 """
 
+import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 
@@ -218,6 +219,8 @@ def solve_shapes(counts, edge_scale, level):
     ``counts`` maps (a,b,c) hop triples to counts; solved shapes come in
     sorted shape order, and the counts of shapes without a root are summed.
     """
+    if not 0 < edge_scale < math.inf:
+        raise ValueError(f"edge_scale must be finite and > 0, got {edge_scale!r}")
     scale = float(edge_scale) ** (-2 * level)
     solved, rejected = [], 0
     for (a, b, c), cnt in sorted(counts.items()):

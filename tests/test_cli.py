@@ -256,14 +256,36 @@ def test_error_exit_json(tmp_path):
         err = json.loads(proc.stderr)
         validate(err, "error")
         assert err["error"] == "InvalidInput", err
-    # out-of-range values: a negative edge endpoint, a fractal sample count below 1
-    for args, message in [(("distortion", "--graph", tmp_path / "neg", "--seed", 1),
-                           "edge endpoint out of range"),
-                          (("fractal", "--level", 2, "--samples", 0, "--seed", 1), "need m >= 1"),
-                          (("fractal", "--level", 2, "--samples", -5, "--seed", 1), "need m >= 1")]:
+    # out-of-range values: a negative edge endpoint, a fractal sample count below 1,
+    # and numbers on the root-solve path, each rejected before it is used
+    fractal = ("fractal", "--level", 2, "--exact", "--seed", 1)
+    curvature = ("curvature", "--graph", tmp_path / "ok", "--samples", 2, "--seed", 1)
+    earth = ("earth", "--samples", 50, "--seed", 1)
+    scale = "edge_scale must be finite and > 0, got "
+    cap = "max_length_scale must be None or finite and > 0, got "
+    legs = "leg_range must satisfy 0 < min <= max < a quarter of the minor circumference, got "
+    for args, error, message in [
+        (("distortion", "--graph", tmp_path / "neg", "--seed", 1),
+         "ValueError", "edge endpoint out of range"),
+        (("fractal", "--level", 2, "--samples", 0, "--seed", 1), "ValueError", "need m >= 1"),
+        (("fractal", "--level", 2, "--samples", -5, "--seed", 1), "ValueError", "need m >= 1"),
+        ((*fractal, "--edge-scale", 0), "ValueError", scale + "0.0"),
+        ((*fractal, "--edge-scale", -1), "ValueError", scale + "-1.0"),
+        ((*fractal, "--edge-scale", "nan"), "ValueError", scale + "nan"),
+        ((*curvature, "--max-length", "nan"), "ValueError", cap + "nan"),
+        ((*curvature, "--max-length", 0), "ValueError", cap + "0.0"),
+        ((*earth, "--max-length", "nan"), "ValueError", cap + "nan"),
+        ((*earth, "--leg-min", -5), "ValueError", legs + "(-5.0, 4000.0)"),
+        ((*earth, "--leg-min", 5000, "--leg-max", 100), "ValueError", legs + "(5000.0, 100.0)"),
+        ((*earth, "--leg-max", 20000), "ValueError", legs + "(500.0, 20000.0)"),
+        (("distortion", "--graph", tmp_path / "ok", "--sources", 0, "--seed", 1),
+         "InvalidInput", "--sources must be at least 1, got 0"),
+        (("distortion", "--graph", tmp_path / "ok", "--sources", -3, "--seed", 1),
+         "InvalidInput", "--sources must be at least 1, got -3"),
+    ]:
         proc = run_cli(*args, check=False)
         assert proc.returncode == 1, args
         assert proc.stdout == ""
         err = json.loads(proc.stderr)
         validate(err, "error")
-        assert (err["error"], err["message"]) == ("ValueError", message)
+        assert (err["error"], err["message"]) == (error, message)

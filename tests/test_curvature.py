@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvgraph import (
     Graph,
@@ -79,6 +81,62 @@ def test_root_oracle_thousand_cases():
         got = curvature_from_triangle(a, b, c)
         worst = max(worst, abs(got - k) / abs(k))
     assert worst < 1e-6
+
+
+def test_near_flat_negative_branch_oracle():
+    # c^2 just above a^2 + b^2: the root rests on differences of log cosh at
+    # small arguments, which keep their digits only if log cosh itself does
+    import mpmath
+
+    rng = np.random.default_rng(65)
+    worst = 0.0
+    for rel_gap in np.geomspace(1e-8, 1e-3, 200):
+        a, b = rng.uniform(0.05, 2.0, size=2)
+        c = math.sqrt((a * a + b * b) / (1.0 - rel_gap))  # (a^2+b^2-c^2)/c^2 = -rel_gap
+        with mpmath.workdps(60):
+            ma, mb, mc = map(mpmath.mpf, (a, b, c))
+
+            def deflated(t):
+                return (mpmath.log(mpmath.cosh(mc * t)) - mpmath.log(mpmath.cosh(ma * t))
+                        - mpmath.log(mpmath.cosh(mb * t))) / (t * t)
+
+            # the small-t root of the quartic expansion, bracketed by a factor 2
+            t0 = mpmath.sqrt(6 * (mc**2 - ma**2 - mb**2) / (mc**4 - ma**4 - mb**4))
+            want = -float(mpmath.findroot(deflated, (t0 / 2, 2 * t0), solver="anderson")) ** 2
+        got = curvature_from_triangle(a, b, c)
+        worst = max(worst, abs(got - want) / abs(want))
+    assert worst < 1e-6
+
+
+@st.composite
+def bracket_triangles(draw):
+    """Strictly valid (a, b, c) at a length scale from 1e-3 to 1e4.
+
+    Three families: right triangles forward-evaluated at K = +-1; a leg
+    within 1e-6 of pi at K = 1, so the root lies within 1e-6 of
+    pi^2/max(a,b,c)^2, as fractal roots do; and c within 1e-9 relative of
+    a + b, the far end of the negative branch.
+    """
+    family = draw(st.sampled_from(["forward", "near_k_max", "near_degenerate"]))
+    a, b = draw(st.floats(0.01, 3.0)), draw(st.floats(0.01, 3.0))
+    if family == "forward":
+        c = forward_hypotenuse(a, b, draw(st.sampled_from([1.0, -1.0])))
+    elif family == "near_k_max":
+        a = math.pi * (1.0 - 10.0 ** draw(st.floats(-12.0, math.log10(5e-7))))
+        c = forward_hypotenuse(a, b, 1.0)
+    else:
+        c = (a + b) * (1.0 - 10.0 ** draw(st.floats(-12.0, -9.0)))
+    scale = 10.0 ** draw(st.floats(-3.0, 4.0))
+    return a * scale, b * scale, c * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket_triangles())
+def test_bracket_solves_and_round_trips(sides):
+    a, b, c = sides
+    k = curvature_from_triangle(a, b, c)
+    assert k <= (math.pi / max(sides)) ** 2
+    assert forward_hypotenuse(a, b, k) == pytest.approx(c, rel=1e-9)
 
 
 def test_sign_law():

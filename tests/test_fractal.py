@@ -139,6 +139,12 @@ def test_signs_at_level_two():
     assert any(k > 0 for k in ks) and any(k < 0 for k in ks)
 
 
+@pytest.mark.parametrize("level", range(1, 6))
+def test_every_enumerated_shape_solves(level):
+    counts = enumerate_fractal_triangle_counts(sierpinski_graph(level))
+    assert fractal.solve_shapes(counts, 1.0, level)[1] == 0
+
+
 def test_stats_identity_scale():
     counts = enumerate_fractal_triangle_counts(sierpinski_graph(1))
     stats = fractal_curvature_stats(counts, 1.0, 1)
