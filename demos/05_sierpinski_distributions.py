@@ -4,9 +4,9 @@ Curvature distributions of a fractal
 
 Sierpinski triangle graphs have no length scale of their own, so with
 unit edges the curvature distribution drifts as the iteration level
-grows.  Exhaustive enumeration of the even-base isosceles triangles is
-cheap at small levels; rejection sampling (uniform over the same
-triangle population) takes over at larger ones.
+grows.  Exhaustive enumeration tallies the even-base isosceles
+triangles by shape; sampling draws from that exact tally (uniform over
+the same triangle population) in one multinomial draw.
 
 Choosing edge lengths that shrink by a factor per level rescales every
 curvature by edge_scale^(-2n), which can pin one chosen statistic to a
@@ -26,7 +26,7 @@ for level in range(1, 5):
     print(f"{level:>2} {stats['count']:>10} {stats['mean']:>9.3f} "
           f"{stats['median']:>8.3f} {stats['stdDev']:>8.3f}")
 
-# Sampled statistics at a level where enumeration would be bulky.
+# Sampled statistics at level 6: a finite seeded sample of the exact tally.
 sg = cg.sierpinski_graph(6)
 counts = cg.sample_fractal_triangle_counts(sg, 200_000, substream(5, 0))
 stats = cg.fractal_curvature_stats(counts, edge_scale=1.0, level=6)

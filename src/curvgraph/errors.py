@@ -62,7 +62,7 @@ class LevelTooLarge(CurvGraphError):
 
 
 class SamplingStalled(CurvGraphError):
-    """Rejection sampling made no progress for too many consecutive draws."""
+    """Sampling cannot progress: too many consecutive rejections, or nothing to draw."""
 
 
 class NonPositiveCurvature(CurvGraphError):

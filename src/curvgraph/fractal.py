@@ -10,13 +10,13 @@ edge count 3^(n+1), corners pairwise at hop distance 2^n.
 Curvature samples are the isosceles triangles with an even base: apex u
 equidistant from v and w, base d(v,w) even, a base midpoint m, giving the
 right triangle (a, b, c) = (d(u,m), d(v,w)/2, d(u,v)) in unit edge
-lengths.  Every qualifying midpoint yields its own sample, and rejection
-sampling reproduces exactly the uniform distribution over the enumerated
-quadruples.
+lengths.  Every qualifying midpoint yields its own sample.  The exact tally
+of samples by shape is enumerated, and drawing m samples uniformly over
+the quadruples is one multinomial draw over that tally.
 """
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +26,9 @@ from .errors import LevelTooLarge, SamplingStalled, TriangleInequalityViolated
 from .graphs import Graph, _hop_distances
 
 _MAX_LEVEL = 12          # construction memory guard
-_MAX_ALLPAIRS_LEVEL = 6  # enumeration / sampling need all-pairs distances
-_STALL_LIMIT = 10**6
+_MAX_ALLPAIRS_LEVEL = 6  # the enumeration needs all-pairs distances
 _BLOCK = 1 << 14         # hop-row cells or candidates expanded at once (memory bound)
+_SCALE_DECADES = 100     # scaled K, squared and weighted by counts, stays a normal float
 
 
 # Even-base pairs with their midpoint and apex lists, as int32 CSR.  Pair k
@@ -168,49 +168,21 @@ def enumerate_fractal_triangle_counts(sg):
 def sample_fractal_triangle_counts(sg, m, rng):
     """{(a,b,c) hops: count} of m draws uniform over the enumerated quadruples.
 
-    Draws a uniform even-base pair, a uniform qualifying midpoint and a
-    uniform equidistant apex, then accepts with probability proportional
-    to the pair's candidate-set product so that every quadruple is equally
-    likely; draws failing the validity conditions are retried.
+    One multinomial draw of m over the exact tally of
+    enumerate_fractal_triangle_counts, shapes in sorted order, so every
+    quadruple is equally likely and the cost does not grow with m.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    t, hops = sg.pair_table(), sg.all_hops()
-    if t.v.size == 0:
-        raise SamplingStalled("no even-base pairs exist at this level")
-    n_mid, n_apex = np.diff(t.mid_ptr), np.diff(t.apex_ptr)
-    # candidate-set products, not valid counts, make draws uniform over quadruples
-    weight = n_mid.astype(np.float64) * n_apex
-    w_max = float(weight.max())
-    counts = Counter()
-    accepted = 0
-    consecutive_rejects = 0
-    batch = 4096
-    while accepted < m:
-        idx = rng.integers(t.v.size, size=batch)
-        keep = rng.random(batch) * w_max < weight[idx]
-        survivors = idx[keep]
-        if survivors.size == 0:
-            consecutive_rejects += batch
-            if consecutive_rejects >= _STALL_LIMIT:
-                raise SamplingStalled(f"{consecutive_rejects} consecutive rejections")
-            continue
-        cols = (t.v, t.half, t.mid_ptr, n_mid, t.apex_ptr, n_apex)
-        for v, half, m0, nm, u0, nu in zip(*(x[survivors].tolist() for x in cols)):
-            if accepted >= m:
-                break
-            mid = int(t.mids[m0 + rng.integers(nm)])
-            u = int(t.apexes[u0 + rng.integers(nu)])
-            a, c = int(hops[u, mid]), int(hops[v, u])
-            if a < 1 or not (a < half + c and half < a + c and c < a + half):
-                consecutive_rejects += 1
-                if consecutive_rejects >= _STALL_LIMIT:
-                    raise SamplingStalled(f"{consecutive_rejects} consecutive rejections")
-                continue
-            consecutive_rejects = 0
-            accepted += 1
-            counts[a, half, c] += 1
-    return counts
+    if m >= 2**63:
+        raise ValueError(f"need m < 2**63, got {m}")
+    tally = sorted(enumerate_fractal_triangle_counts(sg).items())
+    if not tally:
+        raise SamplingStalled("no even-base quadruples exist at this level")
+    shapes, counts = zip(*tally)
+    counts = np.asarray(counts, dtype=np.float64)
+    drawn = rng.multinomial(m, counts / counts.sum())
+    return {shape: k for shape, k in zip(shapes, drawn.tolist()) if k}
 
 
 def solve_shapes(counts, edge_scale, level):
@@ -221,6 +193,9 @@ def solve_shapes(counts, edge_scale, level):
     """
     if not 0 < edge_scale < math.inf:
         raise ValueError(f"edge_scale must be finite and > 0, got {edge_scale!r}")
+    if abs(2 * level * math.log10(edge_scale)) > _SCALE_DECADES:
+        raise ValueError(f"edge_scale ** (-2 * level) must lie in [1e-{_SCALE_DECADES}, "
+                         f"1e{_SCALE_DECADES}], got {edge_scale!r} ** {-2 * level}")
     scale = float(edge_scale) ** (-2 * level)
     solved, rejected = [], 0
     for (a, b, c), cnt in sorted(counts.items()):

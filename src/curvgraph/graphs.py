@@ -228,8 +228,7 @@ def save_geometric_graph(gg, prefix):
     if gg.effective_edge_length is not None:
         sidecar["effective_edge_length"] = gg.effective_edge_length
     with open(f"{prefix}.json", "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(sidecar, sort_keys=True) + "\n")
 
 
 def load_geometric_graph(prefix):

@@ -268,7 +268,7 @@ def _positive_tail_slope(counts, min_count=10):
 
 def test_criterion_9_fractal():
     """Exact enumeration equals the O(V^4) oracle at n in {1, 2}; both
-    signs occur at n=2; n=4 rejection sampling matches exact frequencies
+    signs occur at n=2; n=4 sampling matches exact frequencies
     within 4 sigma on 10^5 samples; the n=6 positive-tail slope is
     reported, not asserted."""
     enum_ok = True

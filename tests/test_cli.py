@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cli_env import cli_env
 from curvgraph import curvature_from_triangle, enumerate_fractal_triangle_counts, sierpinski_graph
+from curvgraph.cli import main
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -199,6 +205,30 @@ def test_fractal_edge_scale():
     assert scaled["mean"] == pytest.approx(16 * base["mean"], rel=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(level=st.sampled_from([-1, 0, 1, 2, 3, 7, 13]),
+       draw=st.sampled_from(["--exact", "--samples=-5", "--samples=0", "--samples=1",
+                             "--samples=7", f"--samples={10**15}"]),
+       edge_scale=st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e100", "1e-100",
+                                   "1e300", "1e-300", "0.5", "1", "2"]))
+def test_fractal_cli_contract(level, draw, edge_scale):
+    # every run either prints a stats report or exits 1 with error JSON on
+    # stderr; a warning counts as an escaped exception, since the CLI would
+    # print it on stderr
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fractal", f"--level={level}", draw, f"--edge-scale={edge_scale}",
+                     "--seed=1"])
+    if code == 0:
+        assert err.getvalue() == ""
+        validate(json.loads(out.getvalue()), "fractal_stats")
+    else:
+        assert code == 1 and out.getvalue() == ""
+        validate(json.loads(err.getvalue()), "error")
+
+
 def test_earth_schema_and_csv(tmp_path):
     proc = run_cli("earth", "--samples", 60, "--seed", 21, "--max-length", 6400,
                    "--out", tmp_path / "radii")
@@ -257,11 +287,13 @@ def test_error_exit_json(tmp_path):
         validate(err, "error")
         assert err["error"] == "InvalidInput", err
     # out-of-range values: a negative edge endpoint, a fractal sample count below 1,
-    # and numbers on the root-solve path, each rejected before it is used
+    # an edge scale whose curvature factor leaves float range, and numbers on the
+    # root-solve path, each rejected before it is used
     fractal = ("fractal", "--level", 2, "--exact", "--seed", 1)
     curvature = ("curvature", "--graph", tmp_path / "ok", "--samples", 2, "--seed", 1)
     earth = ("earth", "--samples", 50, "--seed", 1)
     scale = "edge_scale must be finite and > 0, got "
+    scaled = "edge_scale ** (-2 * level) must lie in [1e-100, 1e100], got "
     cap = "max_length_scale must be None or finite and > 0, got "
     legs = "leg_range must satisfy 0 < min <= max < a quarter of the minor circumference, got "
     for args, error, message in [
@@ -272,6 +304,8 @@ def test_error_exit_json(tmp_path):
         ((*fractal, "--edge-scale", 0), "ValueError", scale + "0.0"),
         ((*fractal, "--edge-scale", -1), "ValueError", scale + "-1.0"),
         ((*fractal, "--edge-scale", "nan"), "ValueError", scale + "nan"),
+        ((*fractal, "--edge-scale", 1e-100), "ValueError", scaled + "1e-100 ** -4"),
+        ((*fractal, "--edge-scale", 1e100), "ValueError", scaled + "1e+100 ** -4"),
         ((*curvature, "--max-length", "nan"), "ValueError", cap + "nan"),
         ((*curvature, "--max-length", 0), "ValueError", cap + "0.0"),
         ((*earth, "--max-length", "nan"), "ValueError", cap + "nan"),

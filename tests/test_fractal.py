@@ -112,6 +112,14 @@ def test_sampling_stalled_at_level_zero():
         sample_fractal_triangle_counts(sierpinski_graph(0), 5, np.random.default_rng(0))
 
 
+def test_sampling_cost_does_not_grow_with_m():
+    sg = sierpinski_graph(2)
+    sampled = sample_fractal_triangle_counts(sg, 10**15, np.random.default_rng(5))
+    assert sum(sampled.values()) == 10**15
+    with pytest.raises(ValueError, match="need m < 2"):
+        sample_fractal_triangle_counts(sg, 2**63, np.random.default_rng(5))
+
+
 def test_sampling_deterministic():
     sg = sierpinski_graph(2)
     s1 = sample_fractal_triangle_counts(sg, 50, np.random.default_rng(3))
