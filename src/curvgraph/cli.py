@@ -148,6 +148,8 @@ def _cmd_fractal(args):
 
 
 def _cmd_earth(args):
+    if args.samples < 1:
+        raise InvalidInput(f"--samples must be at least 1, got {args.samples}")
     rng = substream(args.seed, _TAG["earth"])
     spheroid = Spheroid(args.equatorial, args.polar)
     rep = estimate_earth_radius(

@@ -43,6 +43,7 @@ from .rng import chunk_streams
 
 _FLAT_REL_TOL = 1e-12     # |a^2+b^2-c^2| below this (relative to c^2) is flat
 _RETRIES = 64             # triangle constructions tried per sample
+_ROOT_RTOL = 4 * np.finfo(float).eps
 
 
 @dataclass
@@ -189,7 +190,7 @@ def curvature_from_triangle(a, b, c):
         # log cosh x >= x - ln 2 makes the residual positive at the lower end
         bracket = (-(3.0 * math.log(2.0) / (a + b - c)) ** 2, 0.0)
     try:
-        return brentq(residual, *bracket, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        return brentq(residual, *bracket, xtol=1e-300, rtol=_ROOT_RTOL)
     except (ValueError, RuntimeError) as exc:
         raise RootNotFound(f"no root in {bracket} for {(a, b, c)}: {exc}") from exc
 
@@ -284,12 +285,29 @@ def _triangle(g, l_e, s_min_hops, s_max_hops, rng, apex_row=None):
     raise NoCandidate(f"no valid triangle after {_RETRIES} retries")
 
 
+def each_sample(sample):
+    """A chunk draw for :func:`solve_triangles` that calls ``sample(gen)`` once per triangle.
+
+    ``sample`` returns one TriangleSample or raises NoCandidate, which the
+    chunk draw yields as None.
+    """
+    def draw(count, stream):
+        for _ in range(count):
+            try:
+                yield sample(stream)
+            except NoCandidate:
+                yield None
+
+    return draw
+
+
 def solve_triangles(draw, streams, max_length_scale=None):
     """Curvatures of drawn triangles, in draw order, and the rejections by reason.
 
-    ``streams`` holds (count, generator) pairs, run in order; ``draw(gen)``
-    returns one TriangleSample or raises NoCandidate.  A triangle with a
-    side above ``max_length_scale`` is rejected without a root solve.
+    ``streams`` holds (count, generator) pairs, run in order; ``draw(count,
+    gen)`` returns the chunk's ``count`` TriangleSamples, with None for a
+    draw that found no candidate.  A triangle with a side above
+    ``max_length_scale`` is rejected without a root solve.
     """
     if max_length_scale is not None and not 0 < max_length_scale < math.inf:
         raise ValueError(f"max_length_scale must be None or finite and > 0, "
@@ -297,10 +315,8 @@ def solve_triangles(draw, streams, max_length_scale=None):
     ks = []
     rejected = Counter()
     for count, stream in streams:
-        for _ in range(count):
-            try:
-                tri = draw(stream)
-            except NoCandidate:
+        for tri in draw(count, stream):
+            if tri is None:
                 rejected["no_candidate"] += 1
                 continue
             if max_length_scale is not None and max(tri.sides()) > max_length_scale:
@@ -341,7 +357,8 @@ def estimate_curvature(g, l_e, n_samples, s_min_hops=None, s_max_hops=None,
     if not is_connected(g):
         raise Disconnected("curvature estimation requires a connected graph")
     s_min_hops, s_max_hops = _hop_window(g, rng, s_min_hops, s_max_hops)
-    ks, rejected = solve_triangles(partial(sample_triangle, g, l_e, s_min_hops, s_max_hops),
+    ks, rejected = solve_triangles(each_sample(partial(sample_triangle, g, l_e, s_min_hops,
+                                                       s_max_hops)),
                                    chunk_streams(n_samples, rng), max_length_scale)
     require_accepted(len(ks), n_samples, rejected)
     return CurvatureReport.from_samples(ks, rejected)
@@ -364,7 +381,7 @@ def vertex_curvature(g, l_e, samples_per_vertex, s_min_hops=None, s_max_hops=Non
     for v, stream in enumerate(rng.spawn(n)):
         # the apex's hop row is built once and shared by all its draws
         draw = partial(_triangle, g, l_e, s_min_hops, s_max_hops, apex_row=(v, bfs_hops(g, v)))
-        ks, _ = solve_triangles(draw, [(samples_per_vertex, stream)])
+        ks, _ = solve_triangles(each_sample(draw), [(samples_per_vertex, stream)])
         if ks:
             out[v] = float(np.mean(ks))
     return out

@@ -7,6 +7,16 @@ and u-w, and averaged; a relative asymmetry above 0.5% rejects the sample
 as a construction-error diagnostic.  Curvature comes from the right
 triangle (legA, legB, c) and the local radius estimate is R = 1/sqrt(K).
 
+Triangles are built a chunk of samples at a time with array geodesics
+(``Spheroid.direct`` and ``Spheroid.distance`` over arrays), from one
+block of uniforms that holds each sample's draws in the order the
+one-sample construction ``sample_spheroid_triangle`` takes them.  A sample
+that construction would have redrawn (no accepted candidate point, a
+geodesic that does not converge, or the asymmetry rejection) sends the
+rest of its chunk through ``sample_spheroid_triangle``, one sample at a
+time from the same stream position, so every seeded result is that of the
+one-sample construction.  The root solves stay one per triangle.
+
 Defaults use the stated earth parameters: equatorial 6378 km, polar
 6357 km.  On that spheroid the pointwise radius 1/sqrt(Gaussian curvature)
 is supported on [6357, 6399.07] km, with surface-area density approximated
@@ -15,6 +25,7 @@ by p(R) = 0.077088 / sqrt(R - 6357).
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -26,8 +37,8 @@ from .curvature import (
     write_column_csv,
 )
 from .errors import NonPositiveCurvature, SamplingStalled, SpheroidNonConvergence
-from .manifolds import Spheroid
-from .rng import chunk_streams
+from .manifolds import MIN_CANDIDATES, Spheroid
+from .rng import chunk_streams, uniform_from
 
 EARTH_EQUATORIAL_KM = 6378.0
 EARTH_POLAR_KM = 6357.0
@@ -38,6 +49,9 @@ _PDF_LO = 6357.0
 _PDF_HI = 6399.07
 _ASYMMETRY_REL = 0.005
 _STALL_LIMIT = 10**3
+# uniforms per sample of the chunk path: two legs, one round of candidate
+# latitudes, longitudes and acceptances, and the azimuth
+_DRAWS_PER_SAMPLE = 2 + 3 * MIN_CANDIDATES + 1
 
 
 def earth_spheroid():
@@ -73,7 +87,11 @@ def _quarter_minor_circumference(spheroid):
 
 
 def sample_spheroid_triangle(spheroid, leg_a, leg_b, rng):
-    """One geodesic right triangle (legA, legB, averaged hypotenuse)."""
+    """One geodesic right triangle (legA, legB, averaged hypotenuse).
+
+    A rejected construction draws a new point and azimuth, up to
+    _STALL_LIMIT times.  The geodesics are one-element array calls.
+    """
     if not (leg_a > 0 and leg_b > 0):
         raise ValueError("legs must be positive")
     if max(leg_a, leg_b) >= _quarter_minor_circumference(spheroid):
@@ -100,6 +118,56 @@ def sample_spheroid_triangle(spheroid, leg_a, leg_b, rng):
                 raise SamplingStalled("hypotenuse asymmetry kept exceeding 0.5%")
             continue
         return TriangleSample(a=leg_a, b=leg_b, c=c)
+
+
+def _draw_triangle(spheroid, leg_range, stream):
+    """One sample: two legs from ``leg_range``, then a triangle on them."""
+    leg_a = stream.uniform(*leg_range)
+    leg_b = stream.uniform(*leg_range)
+    return sample_spheroid_triangle(spheroid, leg_a, leg_b, stream)
+
+
+def _triangle_chunk(spheroid, leg_range, count, stream):
+    """The triangles of ``count`` calls of ``_draw_triangle``, built as arrays.
+
+    One ``stream.random`` call takes each sample's draws in the order the
+    per-sample path takes them: two legs, the MIN_CANDIDATES latitude,
+    longitude and acceptance draws of one ``sample_point`` round, and the
+    azimuth.  Three array ``direct`` calls and two array ``distance`` calls
+    then build every triangle at once.  A sample whose round accepts no
+    candidate, whose geodesics do not converge or whose hypotenuses differ
+    by more than the asymmetry bound would have drawn more values: the
+    stream goes back to the chunk's start, skips the draws of the samples
+    before it, and the chunk ends one ``_draw_triangle`` call at a time.
+    Either way the draws, and so the triangles, are those of the per-sample
+    path, bit for bit.
+    """
+    start = stream.bit_generator.state
+    u = stream.random((count, _DRAWS_PER_SAMPLE))
+    legs = uniform_from(u[:, :2], *leg_range)
+    lat, lon, keep = spheroid.candidates(u[:, 2:-1].reshape(count, 3, MIN_CANDIDATES))
+    rows, first = np.arange(count), keep.argmax(axis=1)
+    mid = np.column_stack([lat[rows, first], lon[rows, first]])
+    theta = uniform_from(u[:, -1], 0.0, 2.0 * math.pi)
+    v = spheroid.direct(mid, theta, legs[:, 1])
+    w = spheroid.direct(mid, theta + math.pi, legs[:, 1])
+    apex = spheroid.direct(mid, theta + 0.5 * math.pi, legs[:, 0])
+    c1 = spheroid.distance(apex, v)
+    c2 = spheroid.distance(apex, w)
+    c = 0.5 * (c1 + c2)
+    # NaN (no convergence) fails the comparison and so is replayed too
+    built = keep[rows, first] & (np.abs(c1 - c2) <= _ASYMMETRY_REL * c)
+    failed = np.flatnonzero(~built)
+    replay = int(failed[0]) if failed.size else count
+    triangles = [TriangleSample(a=a, b=b, c=h)
+                 for a, b, h in zip(legs[:replay, 0].tolist(), legs[:replay, 1].tolist(),
+                                    c[:replay].tolist())]
+    if replay < count:
+        stream.bit_generator.state = start
+        stream.random((replay, _DRAWS_PER_SAMPLE))
+        triangles += [_draw_triangle(spheroid, leg_range, stream)
+                      for _ in range(count - replay)]
+    return triangles
 
 
 @dataclass
@@ -146,8 +214,9 @@ def estimate_earth_radius(spheroid=None, n_samples=10**4, leg_range=DEFAULT_LEG_
     Legs are drawn uniformly from leg_range per sample.  When
     max_length_scale is given, triangles with any side above it are
     dropped and the report carries the KS distance to the expected pdf.
-    Draws run in chunks as in ``estimate_curvature``; K <= 0 counts as
-    rejectedNegativeK and every other rejection as rejectedOther.
+    Draws run in the chunks of ``estimate_curvature``, each built as arrays
+    by ``_triangle_chunk``; K <= 0 counts as rejectedNegativeK and every
+    other rejection as rejectedOther.
     """
     if spheroid is None:
         spheroid = earth_spheroid()
@@ -157,12 +226,8 @@ def estimate_earth_radius(spheroid=None, n_samples=10**4, leg_range=DEFAULT_LEG_
         raise ValueError(f"leg_range must satisfy 0 < min <= max < a quarter of the minor "
                          f"circumference, got {tuple(leg_range)}")
 
-    def draw(stream):
-        leg_a = stream.uniform(*leg_range)
-        leg_b = stream.uniform(*leg_range)
-        return sample_spheroid_triangle(spheroid, leg_a, leg_b, stream)
-
-    ks, rejected = solve_triangles(draw, chunk_streams(n_samples, rng), max_length_scale)
+    ks, rejected = solve_triangles(partial(_triangle_chunk, spheroid, leg_range),
+                                   chunk_streams(n_samples, rng), max_length_scale)
     radii = np.asarray([radius_from_curvature(k) for k in ks if k > 0], dtype=np.float64)
     neg, other = len(ks) - radii.size, sum(rejected.values())
     require_accepted(radii.size, n_samples, {**rejected, "non_positive_k": neg})

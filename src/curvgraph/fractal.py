@@ -108,26 +108,24 @@ def _build_pair_table(hops):
     v, w = np.nonzero(np.triu((hops % 2 == 0) & (hops >= 2), 1))
     half = hops[v, w] // 2
     step = max(1, _BLOCK // len(hops))
+    # per block: each pair's list length, and the lists' vertices in pair order;
+    # the empty first entries keep np.concatenate valid when there is no pair
+    counts = ([np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)])
+    cols = ([np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)])
+    for s in range(0, v.size, step):
+        dv, dw, h = hops[v[s:s + step]], hops[w[s:s + step]], half[s:s + step, None]
+        for k, mask in enumerate(((dv == h) & (dw == h), dv == dw)):
+            rows, found = np.nonzero(mask)
+            counts[k].append(np.bincount(rows, minlength=len(mask)))
+            cols[k].append(found.astype(np.int32))
 
-    def masks(select):
-        for s in range(0, v.size, step):
-            b = slice(s, s + step)
-            yield s, select(hops[v[b]], hops[w[b]], half[b, None])
-
-    def lists(select):
-        # counts first, then each block's columns in place: no list is copied
+    def csr(k):
         ptr = np.zeros(v.size + 1, dtype=np.int32)
-        for s, mask in masks(select):
-            ptr[s + 1:s + 1 + len(mask)] = np.count_nonzero(mask, axis=1)
-        np.cumsum(ptr, out=ptr)
-        cols = np.empty(ptr[-1], dtype=np.int32)
-        for s, mask in masks(select):
-            cols[ptr[s]:ptr[s + len(mask)]] = np.nonzero(mask)[1]
-        return ptr, cols
+        np.cumsum(np.concatenate(counts[k]), out=ptr[1:])
+        return ptr, np.concatenate(cols[k])
 
     return PairTable(v.astype(np.int32), w.astype(np.int32), half.astype(np.int32),
-                     *lists(lambda dv, dw, h: (dv == h) & (dw == h)),
-                     *lists(lambda dv, dw, h: dv == dw))
+                     *csr(0), *csr(1))
 
 
 def enumerate_fractal_triangle_counts(sg):

@@ -24,8 +24,12 @@ from .errors import (
     SpheroidNonConvergence,
     UnsupportedManifold,
 )
+from .rng import uniform_from
 
 _REJECTION_CAP = 10**6
+# a rejection round draws at least this many candidates: one spheroid point
+# takes one round of this many unless none of them is accepted
+MIN_CANDIDATES = 64
 
 
 class Manifold:
@@ -89,8 +93,13 @@ class Manifold:
 
 def _check_positive(**lengths):
     for name, value in lengths.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be strictly positive, got {value}")
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and strictly positive, got {value}")
+
+
+def _flat(shape, *arrays):
+    """Each array broadcast to ``shape`` and flattened to a float64 vector."""
+    return [np.broadcast_to(np.asarray(x, dtype=np.float64), shape).ravel() for x in arrays]
 
 
 class _EmbeddedSphere(Manifold):
@@ -220,11 +229,16 @@ class EuclideanDisk(Manifold):
 class Spheroid(Manifold):
     """Oblate ellipsoid of revolution, lengths in kilometers by convention.
 
-    Geodesics use the classical iterative inverse/direct method (reduced
-    latitudes, iterated longitude difference, series in the flattening),
-    converging to 1e-12 on the longitude-difference variable within 200
-    iterations.  Near-antipodal inverse problems may fail to converge and
-    raise :class:`SpheroidNonConvergence`; callers reject such pairs.
+    Geodesics use Vincenty's inverse and direct solutions (*Survey Review*
+    23, 1975): reduced latitudes, an iterated longitude difference (inverse)
+    or arc length (direct) and series in the flattening.  Both run over numpy
+    arrays.  Each element iterates until its own variable moves by less than
+    1e-12, at most 200 times, so it stops at the same step and gets the same
+    bits as a one-element call: a result never depends on its batch.  An
+    element that has not converged by then (near-antipodal inverse problems)
+    is NaN in an array call; a one-point call, and ``distances_from``, raise
+    :class:`SpheroidNonConvergence` instead, and callers reject such pairs.
+    Coincident points are at distance 0.
     """
 
     kind = "spheroid"
@@ -238,6 +252,9 @@ class Spheroid(Manifold):
             raise ValueError("spheroid must be oblate: polar_radius <= equatorial_radius")
         self.equatorial_radius = float(equatorial_radius)
         self.polar_radius = float(polar_radius)
+        if self.eccentricity_sq == 1.0:
+            raise ValueError(f"spheroid too flat: 1 - e^2 rounds to 0 for equatorial_radius "
+                             f"{self.equatorial_radius} and polar_radius {self.polar_radius}")
 
     @property
     def flattening(self):
@@ -248,24 +265,31 @@ class Spheroid(Manifold):
         b_over_a = self.polar_radius / self.equatorial_radius
         return 1.0 - b_over_a * b_over_a
 
-    def sample_points(self, n, rng):
-        # Rejection against the surface-area element in geodetic latitude,
-        # dA ~ cos(lat) / (1 - e^2 sin^2 lat)^2, with the always-valid
-        # envelope 1/(1-e^2)^2.
+    def candidates(self, u):
+        """Rejection-sampling candidates from uniforms ``u`` of shape (..., 3, k).
+
+        The three rows hold k latitude, longitude and acceptance draws of
+        ``Generator.random``; returns the latitudes, the longitudes and
+        whether each candidate is accepted.  Acceptance is against the
+        surface-area element in geodetic latitude, dA ~ cos(lat) / (1 - e^2
+        sin^2 lat)^2, under the always-valid envelope 1/(1-e^2)^2.
+        """
         e2 = self.eccentricity_sq
-        envelope = 1.0 / (1.0 - e2) ** 2
+        lat = uniform_from(u[..., 0, :], -math.pi / 2, math.pi / 2)
+        lon = uniform_from(u[..., 1, :], 0.0, 2.0 * math.pi)
+        dens = np.cos(lat) / (1.0 - e2 * np.sin(lat) ** 2) ** 2
+        return lat, lon, uniform_from(u[..., 2, :], 0.0, 1.0 / (1.0 - e2) ** 2) <= dens
+
+    def sample_points(self, n, rng):
         out = np.empty((n, 2))
         filled = 0
         attempts = 0
         while filled < n:
-            batch = max(64, 2 * (n - filled))
+            batch = max(MIN_CANDIDATES, 2 * (n - filled))
             attempts += batch
             if attempts > _REJECTION_CAP + batch:
                 raise SamplingFailure("spheroid rejection sampling exceeded attempt cap")
-            lat = rng.uniform(-math.pi / 2, math.pi / 2, size=batch)
-            lon = rng.uniform(0.0, 2.0 * math.pi, size=batch)
-            dens = np.cos(lat) / (1.0 - e2 * np.sin(lat) ** 2) ** 2
-            keep = rng.uniform(0.0, envelope, size=batch) <= dens
+            lat, lon, keep = self.candidates(rng.random((3, batch)))
             take = min(int(keep.sum()), n - filled)
             sel = np.nonzero(keep)[0][:take]
             out[filled : filled + take, 0] = lat[sel]
@@ -274,97 +298,138 @@ class Spheroid(Manifold):
         return out
 
     def distance(self, p, q):
-        a, b = self.equatorial_radius, self.polar_radius
-        f = self.flattening
-        lat1, lon1 = float(p[0]), float(p[1])
-        lat2, lon2 = float(q[0]), float(q[1])
-        if lat1 == lat2 and (lon1 - lon2) % (2.0 * math.pi) == 0.0:
-            return 0.0
-        U1 = math.atan((1.0 - f) * math.tan(lat1))
-        U2 = math.atan((1.0 - f) * math.tan(lat2))
-        L = lon2 - lon1
-        sinU1, cosU1 = math.sin(U1), math.cos(U1)
-        sinU2, cosU2 = math.sin(U2), math.cos(U2)
+        """Geodesic distance between points, or between rows of point arrays.
+
+        ``p`` and ``q`` are (lat, lon) points or arrays of them whose leading
+        shapes broadcast; one pair gives a float.
+        """
+        p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+        shape = np.broadcast_shapes(p.shape[:-1], q.shape[:-1])
+        lat1, lon1, lat2, lon2 = _flat(shape, p[..., 0], p[..., 1], q[..., 0], q[..., 1])
+        a, b, f = self.equatorial_radius, self.polar_radius, self.flattening
+        dist = np.full(lat1.size, np.nan)
+        dist[(lat1 == lat2) & (np.mod(lon1 - lon2, 2.0 * math.pi) == 0.0)] = 0.0
+        # the elements still iterating, and their terms
+        idx = np.flatnonzero(np.isnan(dist))
+        U1 = np.arctan((1.0 - f) * np.tan(lat1[idx]))
+        U2 = np.arctan((1.0 - f) * np.tan(lat2[idx]))
+        L = lon2[idx] - lon1[idx]
+        sinU1, cosU1 = np.sin(U1), np.cos(U1)
+        sinU2, cosU2 = np.sin(U2), np.cos(U2)
         lam = L
         for _ in range(self._MAX_ITER):
-            sin_lam, cos_lam = math.sin(lam), math.cos(lam)
-            sin_sig = math.hypot(cosU2 * sin_lam, cosU1 * sinU2 - sinU1 * cosU2 * cos_lam)
-            if sin_sig == 0.0:
-                return 0.0  # coincident
+            if idx.size == 0:
+                break
+            sin_lam, cos_lam = np.sin(lam), np.cos(lam)
+            sin_sig = np.hypot(cosU2 * sin_lam, cosU1 * sinU2 - sinU1 * cosU2 * cos_lam)
             cos_sig = sinU1 * sinU2 + cosU1 * cosU2 * cos_lam
-            sig = math.atan2(sin_sig, cos_sig)
-            sin_alp = cosU1 * cosU2 * sin_lam / sin_sig
-            cos2_alp = 1.0 - sin_alp * sin_alp
-            # equatorial geodesic: cos2_alp == 0
-            cos_2sigm = cos_sig - 2.0 * sinU1 * sinU2 / cos2_alp if cos2_alp != 0.0 else 0.0
+            sig = np.arctan2(sin_sig, cos_sig)
+            # sin_sig == 0 (coincident) divides by zero here; those elements stop at 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sin_alp = cosU1 * cosU2 * sin_lam / sin_sig
+                cos2_alp = 1.0 - sin_alp * sin_alp
+                # equatorial geodesic: cos2_alp == 0
+                cos_2sigm = np.where(cos2_alp != 0.0,
+                                     cos_sig - 2.0 * sinU1 * sinU2 / cos2_alp, 0.0)
             C = f / 16.0 * cos2_alp * (4.0 + f * (4.0 - 3.0 * cos2_alp))
             lam_prev = lam
             lam = L + (1.0 - C) * f * sin_alp * (
                 sig + C * sin_sig * (cos_2sigm + C * cos_sig * (-1.0 + 2.0 * cos_2sigm**2))
             )
-            if abs(lam - lam_prev) < self._TOL:
-                break
-        else:
-            raise SpheroidNonConvergence("inverse geodesic did not converge (near-antipodal pair?)")
-        u2 = cos2_alp * (a * a - b * b) / (b * b)
-        A = 1.0 + u2 / 16384.0 * (4096.0 + u2 * (-768.0 + u2 * (320.0 - 175.0 * u2)))
-        B = u2 / 1024.0 * (256.0 + u2 * (-128.0 + u2 * (74.0 - 47.0 * u2)))
-        d_sig = B * sin_sig * (
-            cos_2sigm
-            + B / 4.0 * (
-                cos_sig * (-1.0 + 2.0 * cos_2sigm**2)
-                - B / 6.0 * cos_2sigm * (-3.0 + 4.0 * sin_sig**2) * (-3.0 + 4.0 * cos_2sigm**2)
+            coincident = sin_sig == 0.0
+            stop = coincident | (np.abs(lam - lam_prev) < self._TOL)
+            if not stop.any():
+                continue
+            dist[idx[coincident]] = 0.0
+            last = stop & ~coincident
+            ss, cs, sg, c2sm = sin_sig[last], cos_sig[last], sig[last], cos_2sigm[last]
+            u2 = cos2_alp[last] * (a * a - b * b) / (b * b)
+            A = 1.0 + u2 / 16384.0 * (4096.0 + u2 * (-768.0 + u2 * (320.0 - 175.0 * u2)))
+            B = u2 / 1024.0 * (256.0 + u2 * (-128.0 + u2 * (74.0 - 47.0 * u2)))
+            d_sig = B * ss * (
+                c2sm
+                + B / 4.0 * (
+                    cs * (-1.0 + 2.0 * c2sm**2)
+                    - B / 6.0 * c2sm * (-3.0 + 4.0 * ss**2) * (-3.0 + 4.0 * c2sm**2)
+                )
             )
-        )
-        return b * A * (sig - d_sig)
+            dist[idx[last]] = b * A * (sg - d_sig)
+            go = ~stop
+            idx, L, lam, sinU1, cosU1, sinU2, cosU2 = (
+                x[go] for x in (idx, L, lam, sinU1, cosU1, sinU2, cosU2))
+        if shape == ():
+            if idx.size:
+                raise SpheroidNonConvergence("inverse geodesic did not converge "
+                                             "(near-antipodal pair?)")
+            return float(dist[0])
+        return dist.reshape(shape)
 
     def distances_from(self, p, qs):
-        return np.array([self.distance(p, q) for q in qs])
+        dist = self.distance(p, qs)
+        if np.isnan(dist).any():
+            raise SpheroidNonConvergence("inverse geodesic did not converge (near-antipodal pair?)")
+        return dist
 
     def direct(self, p, azimuth, s):
-        a, b = self.equatorial_radius, self.polar_radius
-        f = self.flattening
-        lat1, lon1 = float(p[0]), float(p[1])
-        tanU1 = (1.0 - f) * math.tan(lat1)
-        U1 = math.atan(tanU1)
-        sig1 = math.atan2(tanU1, math.cos(azimuth))
-        sin_alp = math.cos(U1) * math.sin(azimuth)
+        """Point reached by following the geodesic from ``p`` for arclength ``s``.
+
+        The azimuth is measured clockwise from north.  ``p`` is one (lat, lon)
+        point or an array of them, and ``azimuth`` and ``s`` broadcast against
+        its leading shape; the result has that shape plus the last axis of 2.
+        """
+        p = np.asarray(p, dtype=np.float64)
+        shape = np.broadcast_shapes(p.shape[:-1], np.shape(azimuth), np.shape(s))
+        lat1, lon1, azimuth, s = _flat(shape, p[..., 0], p[..., 1], azimuth, s)
+        a, b, f = self.equatorial_radius, self.polar_radius, self.flattening
+        tanU1 = (1.0 - f) * np.tan(lat1)
+        U1 = np.arctan(tanU1)
+        sig1 = np.arctan2(tanU1, np.cos(azimuth))
+        sin_alp = np.cos(U1) * np.sin(azimuth)
         cos2_alp = 1.0 - sin_alp * sin_alp
         u2 = cos2_alp * (a * a - b * b) / (b * b)
         A = 1.0 + u2 / 16384.0 * (4096.0 + u2 * (-768.0 + u2 * (320.0 - 175.0 * u2)))
         B = u2 / 1024.0 * (256.0 + u2 * (-128.0 + u2 * (74.0 - 47.0 * u2)))
-        sig = s / (b * A)
-        sig_2m = 0.0
+        base = s / (b * A)
+        sig, sig_2m = base.copy(), np.zeros_like(base)
+        # the elements still iterating, and their terms
+        idx, sig_t, sig1_t, B_t, base_t = np.arange(s.size), base, sig1, B, base
         for _ in range(self._MAX_ITER):
-            sig_2m = 2.0 * sig1 + sig
-            d_sig = B * math.sin(sig) * (
-                math.cos(sig_2m)
-                + B / 4.0 * (
-                    math.cos(sig) * (-1.0 + 2.0 * math.cos(sig_2m) ** 2)
-                    - B / 6.0 * math.cos(sig_2m)
-                    * (-3.0 + 4.0 * math.sin(sig) ** 2)
-                    * (-3.0 + 4.0 * math.cos(sig_2m) ** 2)
+            if idx.size == 0:
+                break
+            s2m = 2.0 * sig1_t + sig_t
+            d_sig = B_t * np.sin(sig_t) * (
+                np.cos(s2m)
+                + B_t / 4.0 * (
+                    np.cos(sig_t) * (-1.0 + 2.0 * np.cos(s2m) ** 2)
+                    - B_t / 6.0 * np.cos(s2m)
+                    * (-3.0 + 4.0 * np.sin(sig_t) ** 2)
+                    * (-3.0 + 4.0 * np.cos(s2m) ** 2)
                 )
             )
-            sig_prev = sig
-            sig = s / (b * A) + d_sig
-            if abs(sig - sig_prev) < self._TOL:
-                break
-        else:
-            raise SpheroidNonConvergence("direct geodesic did not converge")
-        sinU1, cosU1 = math.sin(U1), math.cos(U1)
-        sin_sig, cos_sig = math.sin(sig), math.cos(sig)
-        cos_az = math.cos(azimuth)
-        lat2 = math.atan2(
+            sig_prev, sig_t = sig_t, base_t + d_sig
+            stop = np.abs(sig_t - sig_prev) < self._TOL
+            if not stop.any():
+                continue
+            sig[idx[stop]], sig_2m[idx[stop]] = sig_t[stop], s2m[stop]
+            go = ~stop
+            idx, sig_t, sig1_t, B_t, base_t = (x[go] for x in (idx, sig_t, sig1_t, B_t, base_t))
+        sinU1, cosU1 = np.sin(U1), np.cos(U1)
+        sin_sig, cos_sig = np.sin(sig), np.cos(sig)
+        cos_az = np.cos(azimuth)
+        lat2 = np.arctan2(
             sinU1 * cos_sig + cosU1 * sin_sig * cos_az,
-            (1.0 - f) * math.hypot(sin_alp, sinU1 * sin_sig - cosU1 * cos_sig * cos_az),
+            (1.0 - f) * np.hypot(sin_alp, sinU1 * sin_sig - cosU1 * cos_sig * cos_az),
         )
-        lam = math.atan2(sin_sig * math.sin(azimuth), cosU1 * cos_sig - sinU1 * sin_sig * cos_az)
+        lam = np.arctan2(sin_sig * np.sin(azimuth), cosU1 * cos_sig - sinU1 * sin_sig * cos_az)
         C = f / 16.0 * cos2_alp * (4.0 + f * (4.0 - 3.0 * cos2_alp))
         L = lam - (1.0 - C) * f * sin_alp * (
-            sig + C * sin_sig * (math.cos(sig_2m) + C * cos_sig * (-1.0 + 2.0 * math.cos(sig_2m) ** 2))
+            sig + C * sin_sig * (np.cos(sig_2m) + C * cos_sig * (-1.0 + 2.0 * np.cos(sig_2m) ** 2))
         )
-        return np.array([lat2, lon1 + L])
+        out = np.column_stack([lat2, lon1 + L])
+        out[idx] = np.nan
+        if shape == () and idx.size:
+            raise SpheroidNonConvergence("direct geodesic did not converge")
+        return out.reshape(*shape, 2)
 
     def diameter(self):
         return math.pi * self.equatorial_radius

@@ -26,3 +26,13 @@ def chunk_streams(n, rng):
     """
     sizes = [min(CHUNK, n - lo) for lo in range(0, n, CHUNK)]
     return list(zip(sizes, rng.spawn(len(sizes))))
+
+
+def uniform_from(u, low, high):
+    """``Generator.uniform(low, high)`` of draws ``u`` taken with ``Generator.random``.
+
+    It is the map ``uniform`` applies to each draw, so drawing many values
+    with one ``random`` call and mapping them gives the same numbers, bit for
+    bit, as drawing them one ``uniform`` call at a time.
+    """
+    return low + (high - low) * u

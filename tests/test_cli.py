@@ -7,7 +7,7 @@ import warnings
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cli_env import cli_env
@@ -229,6 +229,37 @@ def test_fractal_cli_contract(level, draw, edge_scale):
         validate(json.loads(err.getvalue()), "error")
 
 
+@settings(max_examples=150, deadline=None)
+@example(samples="10", max_length="6400", legs=None, axes=("inf", "6357"))
+@example(samples="10", max_length=None, legs=None, axes=("1e-300", "1e-300"))
+@given(samples=st.sampled_from(["-3", "0", "10"]),
+       max_length=st.sampled_from([None, "0", "-1", "nan", "inf", "1e-300", "6400"]),
+       legs=st.sampled_from([None, ("4000", "500"), ("nan", "4000"), ("500", "nan"),
+                             ("500", "inf"), ("-inf", "4000")]),
+       axes=st.tuples(*[st.sampled_from([None, "0", "-1", "nan", "inf", "1e-300", "6357", "6378"])] * 2))
+def test_earth_cli_contract(samples, max_length, legs, axes):
+    # every run either prints a radius summary or exits 1 with error JSON on
+    # stderr; a warning counts as an escaped exception, as for fractal
+    argv = ["earth", f"--samples={samples}", "--seed=1"]
+    if max_length is not None:
+        argv.append(f"--max-length={max_length}")
+    if legs is not None:
+        argv += [f"--leg-min={legs[0]}", f"--leg-max={legs[1]}"]
+    argv += [f"--{flag}={value}" for flag, value in zip(("equatorial", "polar"), axes)
+             if value is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        validate(json.loads(out.getvalue()), "earth_summary")
+    else:
+        assert code == 1 and out.getvalue() == ""
+        validate(json.loads(err.getvalue()), "error")
+
+
 def test_earth_schema_and_csv(tmp_path):
     proc = run_cli("earth", "--samples", 60, "--seed", 21, "--max-length", 6400,
                    "--out", tmp_path / "radii")
@@ -316,6 +347,16 @@ def test_error_exit_json(tmp_path):
          "InvalidInput", "--sources must be at least 1, got 0"),
         (("distortion", "--graph", tmp_path / "ok", "--sources", -3, "--seed", 1),
          "InvalidInput", "--sources must be at least 1, got -3"),
+        (("earth", "--samples", 0, "--seed", 1), "InvalidInput", "--samples must be at least 1, got 0"),
+        (("earth", "--samples", -3, "--seed", 1), "InvalidInput",
+         "--samples must be at least 1, got -3"),
+        ((*earth, "--equatorial", "inf"), "ValueError",
+         "equatorial_radius must be finite and strictly positive, got inf"),
+        ((*sprinkle, '{"type":"spheroid","equatorial_radius":1e400,"polar_radius":1}'),
+         "ValueError", "equatorial_radius must be finite and strictly positive, got inf"),
+        ((*sprinkle, '{"type":"spheroid","equatorial_radius":1e200,"polar_radius":1e-200}'),
+         "ValueError",
+         "spheroid too flat: 1 - e^2 rounds to 0 for equatorial_radius 1e+200 and polar_radius 1e-200"),
     ]:
         proc = run_cli(*args, check=False)
         assert proc.returncode == 1, args

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from curvgraph import earth
 from curvgraph import (
     Spheroid,
     earth_spheroid,
@@ -137,3 +141,52 @@ def test_ks_distance_of_exact_model_draws():
     u = rng.random(4000)
     draws = 6357.0 + (u / (2 * 0.077088)) ** 2
     assert ks_distance_to_expected(draws) < 0.03
+
+
+def _assert_chunk_equals_per_sample(spheroid, leg_range, count, seed):
+    """The chunk path gives the per-sample path's triangles and generator state, bit for bit."""
+    chunk_rng, each_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    chunk = earth._triangle_chunk(spheroid, leg_range, count, chunk_rng)
+    each = [earth._draw_triangle(spheroid, leg_range, each_rng) for _ in range(count)]
+    assert [t.sides() for t in chunk] == [t.sides() for t in each]
+    assert chunk_rng.bit_generator.state == each_rng.bit_generator.state
+
+
+class _SparseSpheroid(Spheroid):
+    """A spheroid that refuses most candidate points.
+
+    About one round of 64 candidates in four then accepts none, so the
+    per-sample path draws another round and the chunk path must replay.
+    """
+
+    def candidates(self, u):
+        lat, lon, keep = super().candidates(u)
+        return lat, lon, keep & (u[..., 2, :] < 0.02)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 600),
+       spheroid=st.sampled_from([earth_spheroid(), Spheroid(6378.0, 6378.0),
+                                 _SparseSpheroid(6378.0, 6357.0)]),
+       asymmetry=st.sampled_from([earth._ASYMMETRY_REL, 2e-5]),
+       lo=st.floats(1.0, 3000.0), width=st.floats(0.0, 1000.0))
+def test_triangle_chunk_equals_per_sample_draws(seed, count, spheroid, asymmetry, lo, width):
+    # an asymmetry bound of 2e-5 rejects about one construction in seven,
+    # which sends the chunk to its per-sample replay
+    with mock.patch.object(earth, "_ASYMMETRY_REL", asymmetry):
+        _assert_chunk_equals_per_sample(spheroid, (lo, lo + width), count, seed)
+
+
+@pytest.mark.parametrize("name, value, count", [("_ASYMMETRY_REL", 5e-5, 60),
+                                                ("_MAX_ITER", 4, 10)])
+def test_triangle_chunk_replays_rejected_constructions(monkeypatch, name, value, count):
+    # a tight asymmetry bound rejects some constructions, and four iterations
+    # leave most geodesics unconverged: either way the chunk must replay
+    monkeypatch.setattr(earth if name == "_ASYMMETRY_REL" else Spheroid, name, value)
+    replayed = []
+    draw = earth._draw_triangle
+    monkeypatch.setattr(earth, "_draw_triangle", lambda *args: replayed.append(1) or draw(*args))
+    earth._triangle_chunk(earth_spheroid(), (500.0, 4000.0), count, np.random.default_rng(7))
+    assert replayed
+    monkeypatch.setattr(earth, "_draw_triangle", draw)
+    _assert_chunk_equals_per_sample(earth_spheroid(), (500.0, 4000.0), count, 7)

@@ -164,7 +164,8 @@ def test_distances_independent_of_batch():
     # a pair's distance must not depend on which other rows share the call;
     # duplicated points make the arccos near 1 expose any rounding difference
     rng = np.random.default_rng(21)
-    for manifold in [Sphere2(1.0), Sphere3(1.3), HyperbolicDisk(1.0, 2.0), EuclideanDisk(2.0)]:
+    for manifold in [Sphere2(1.0), Sphere3(1.3), HyperbolicDisk(1.0, 2.0), EuclideanDisk(2.0),
+                     Spheroid(6378.0, 6357.0)]:
         pts = manifold.sample_points(40, rng)
         pts[20:] = pts[:20]
         for i in range(40):
@@ -257,6 +258,44 @@ def test_spheroid_direct_round_trip():
         s = rng.uniform(100.0, 0.24 * math.pi * 6357.0)
         q = sph.direct(p, az, s)
         assert sph.distance(p, q) == pytest.approx(s, rel=1e-6)
+
+
+def test_spheroid_array_direct_round_trip():
+    # one array call each way; every element matches its own one-point call
+    sph = Spheroid(6378.0, 6357.0)
+    rng = np.random.default_rng(24)
+    p = sph.sample_points(300, rng)
+    az = rng.uniform(0, 2 * math.pi, 300)
+    s = rng.uniform(1.0, 0.24 * math.pi * 6357.0, 300)
+    q = sph.direct(p, az, s)
+    d = sph.distance(p, q)
+    assert q.shape == (300, 2) and d.shape == (300,)
+    np.testing.assert_allclose(d, s, rtol=1e-9)
+    for i in range(0, 300, 37):
+        assert np.array_equal(sph.direct(p[i], az[i], s[i]), q[i])
+        assert sph.distance(p[i], q[i]) == d[i]
+
+
+def test_spheroid_with_equal_axes_is_the_sphere():
+    # Spheroid(r, r) against Sphere2's great-circle distance and direct formulas
+    r = 6371.0
+    sph, sphere = Spheroid(r, r), Sphere2(r)
+    rng = np.random.default_rng(25)
+    p, q = sph.sample_points(200, rng), sph.sample_points(200, rng)
+
+    def embed(pts):
+        lat, lon = pts[:, 0], pts[:, 1]
+        return r * np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon),
+                                    np.sin(lat)])
+
+    p3, q3 = embed(p), embed(q)
+    great_circle = np.array([sphere.distance(a, b) for a, b in zip(p3, q3)])
+    # with no flattening the longitude iteration is a fixed point: every pair converges
+    np.testing.assert_allclose(sph.distance(p, q), great_circle, rtol=1e-9, atol=1e-6)
+    az = rng.uniform(0, 2 * math.pi, 200)
+    s = rng.uniform(1.0, 0.45 * math.pi * r, 200)
+    expect = np.array([sphere.direct(a, b, c) for a, b, c in zip(p3, az, s)])
+    np.testing.assert_allclose(embed(sph.direct(p, az, s)), expect, atol=1e-6)
 
 
 def test_direct_unsupported():
