@@ -10,12 +10,13 @@ triangle (legA, legB, c) and the local radius estimate is R = 1/sqrt(K).
 Triangles are built a chunk of samples at a time with array geodesics
 (``Spheroid.direct`` and ``Spheroid.distance`` over arrays), from one
 block of uniforms that holds each sample's draws in the order the
-one-sample construction ``sample_spheroid_triangle`` takes them.  A sample
-that construction would have redrawn (no accepted candidate point, a
-geodesic that does not converge, or the asymmetry rejection) sends the
-rest of its chunk through ``sample_spheroid_triangle``, one sample at a
-time from the same stream position, so every seeded result is that of the
-one-sample construction.  The root solves stay one per triangle.
+one-construction-at-a-time loop takes them.  A sample that loop would
+have redrawn (no accepted candidate point, a geodesic that does not
+converge, or the asymmetry rejection) is built on its own by
+``sample_spheroid_triangle`` from the same stream position, which tries
+its constructions several at a time as arrays; the chunk then goes on in
+array form after it.  Every seeded result is that of the loop, bit for
+bit.  The root solves stay one per triangle.
 
 Defaults use the stated earth parameters: equatorial 6378 km, polar
 6357 km.  On that spheroid the pointwise radius 1/sqrt(Gaussian curvature)
@@ -36,7 +37,7 @@ from .curvature import (
     solve_triangles,
     write_column_csv,
 )
-from .errors import NonPositiveCurvature, SamplingStalled, SpheroidNonConvergence
+from .errors import NonPositiveCurvature, SamplingStalled
 from .manifolds import MIN_CANDIDATES, Spheroid
 from .rng import chunk_streams, uniform_from
 
@@ -49,9 +50,10 @@ _PDF_LO = 6357.0
 _PDF_HI = 6399.07
 _ASYMMETRY_REL = 0.005
 _STALL_LIMIT = 10**3
-# uniforms per sample of the chunk path: two legs, one round of candidate
-# latitudes, longitudes and acceptances, and the azimuth
-_DRAWS_PER_SAMPLE = 2 + 3 * MIN_CANDIDATES + 1
+# uniforms of one construction: a round of candidate latitudes, longitudes
+# and acceptances for the base midpoint, and the azimuth
+_ATTEMPT_DRAWS = 3 * MIN_CANDIDATES + 1
+_ATTEMPTS = 16  # constructions sample_spheroid_triangle tries per array call
 
 
 def earth_spheroid():
@@ -86,38 +88,80 @@ def _quarter_minor_circumference(spheroid):
     return 0.5 * math.pi * spheroid.polar_radius
 
 
+def _midpoints(spheroid, u):
+    """Base midpoints, azimuths and whether a candidate was accepted, per row of ``u``.
+
+    A row holds the _ATTEMPT_DRAWS uniforms of one construction: a round of
+    MIN_CANDIDATES latitude, longitude and acceptance draws, as
+    ``sample_point`` takes them, then the azimuth.  The midpoint is the
+    round's first accepted candidate.
+    """
+    lat, lon, keep = spheroid.candidates(u[:, :-1].reshape(len(u), 3, MIN_CANDIDATES))
+    rows, first = np.arange(len(u)), keep.argmax(axis=1)
+    return (np.column_stack([lat[rows, first], lon[rows, first]]),
+            uniform_from(u[:, -1], 0.0, 2.0 * math.pi), keep[rows, first])
+
+
+def _hypotenuses(spheroid, mid, theta, leg_a, leg_b):
+    """Averaged hypotenuse of each construction, and whether it is kept.
+
+    Three array ``direct`` calls place the base ends and the apex, and two
+    array ``distance`` calls measure the hypotenuse twice.  A construction
+    whose geodesics do not converge (NaN) or whose two hypotenuses differ
+    by more than the asymmetry bound is not kept.
+    """
+    v = spheroid.direct(mid, theta, leg_b)
+    w = spheroid.direct(mid, theta + math.pi, leg_b)
+    apex = spheroid.direct(mid, theta + 0.5 * math.pi, leg_a)
+    c1 = spheroid.distance(apex, v)
+    c2 = spheroid.distance(apex, w)
+    c = 0.5 * (c1 + c2)
+    return c, np.abs(c1 - c2) <= _ASYMMETRY_REL * c
+
+
 def sample_spheroid_triangle(spheroid, leg_a, leg_b, rng):
     """One geodesic right triangle (legA, legB, averaged hypotenuse).
 
-    A rejected construction draws a new point and azimuth, up to
-    _STALL_LIMIT times.  The geodesics are one-element array calls.
+    A construction that is not kept draws a new midpoint and azimuth, up to
+    _STALL_LIMIT times.  The constructions are tried _ATTEMPTS at a time as
+    arrays, and the stream is then put where the one-at-a-time loop would
+    have left it: after the first kept construction's draws, or before a
+    construction whose round of candidates accepted none, which draws its
+    midpoint with ``sample_point`` instead.
     """
     if not (leg_a > 0 and leg_b > 0):
         raise ValueError("legs must be positive")
     if max(leg_a, leg_b) >= _quarter_minor_circumference(spheroid):
         raise ValueError("legs must stay below a quarter of the minor circumference")
     rejections = 0
+
+    def reject(c):
+        nonlocal rejections
+        rejections += 1
+        if rejections >= _STALL_LIMIT:
+            raise SamplingStalled("geodesic construction kept failing" if math.isnan(c)
+                                  else "hypotenuse asymmetry kept exceeding 0.5%")
+
     while True:
+        start = rng.bit_generator.state
+        mid, theta, accepted = _midpoints(spheroid, rng.random((_ATTEMPTS, _ATTEMPT_DRAWS)))
+        c, kept = _hypotenuses(spheroid, mid, theta, leg_a, leg_b)
+        stop = np.flatnonzero(kept | ~accepted)
+        tried = int(stop[0]) if stop.size else _ATTEMPTS
+        for k in range(tried):
+            reject(c[k])
+        if tried == _ATTEMPTS:
+            continue
+        rng.bit_generator.state = start
+        rng.random((tried + int(accepted[tried]), _ATTEMPT_DRAWS))
+        if accepted[tried]:
+            return TriangleSample(a=leg_a, b=leg_b, c=float(c[tried]))
         mid = spheroid.sample_point(rng)
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        try:
-            v = spheroid.direct(mid, theta, leg_b)
-            w = spheroid.direct(mid, theta + math.pi, leg_b)
-            u = spheroid.direct(mid, theta + 0.5 * math.pi, leg_a)
-            c1 = spheroid.distance(u, v)
-            c2 = spheroid.distance(u, w)
-        except SpheroidNonConvergence:
-            rejections += 1
-            if rejections >= _STALL_LIMIT:
-                raise SamplingStalled("geodesic construction kept failing")
-            continue
-        c = 0.5 * (c1 + c2)
-        if abs(c1 - c2) > _ASYMMETRY_REL * c:
-            rejections += 1
-            if rejections >= _STALL_LIMIT:
-                raise SamplingStalled("hypotenuse asymmetry kept exceeding 0.5%")
-            continue
-        return TriangleSample(a=leg_a, b=leg_b, c=c)
+        c, kept = _hypotenuses(spheroid, mid[None], theta, leg_a, leg_b)
+        if kept[0]:
+            return TriangleSample(a=leg_a, b=leg_b, c=float(c[0]))
+        reject(c[0])
 
 
 def _draw_triangle(spheroid, leg_range, stream):
@@ -130,43 +174,33 @@ def _draw_triangle(spheroid, leg_range, stream):
 def _triangle_chunk(spheroid, leg_range, count, stream):
     """The triangles of ``count`` calls of ``_draw_triangle``, built as arrays.
 
-    One ``stream.random`` call takes each sample's draws in the order the
-    per-sample path takes them: two legs, the MIN_CANDIDATES latitude,
-    longitude and acceptance draws of one ``sample_point`` round, and the
-    azimuth.  Three array ``direct`` calls and two array ``distance`` calls
-    then build every triangle at once.  A sample whose round accepts no
-    candidate, whose geodesics do not converge or whose hypotenuses differ
-    by more than the asymmetry bound would have drawn more values: the
-    stream goes back to the chunk's start, skips the draws of the samples
-    before it, and the chunk ends one ``_draw_triangle`` call at a time.
-    Either way the draws, and so the triangles, are those of the per-sample
-    path, bit for bit.
+    One ``stream.random`` call takes each sample's draws in the order
+    ``_draw_triangle`` takes them when its first construction is kept: two
+    legs, then the _ATTEMPT_DRAWS of one construction.  A sample whose
+    first construction is not kept, or whose round of candidates accepted
+    none, would have drawn more values: the stream goes back to where the
+    block started, skips the draws of the samples before it, and that
+    sample is built by ``_draw_triangle``; the samples after it start a new
+    block from there.  Either way the draws, and so the triangles, are
+    those of ``_draw_triangle``, bit for bit.
     """
-    start = stream.bit_generator.state
-    u = stream.random((count, _DRAWS_PER_SAMPLE))
-    legs = uniform_from(u[:, :2], *leg_range)
-    lat, lon, keep = spheroid.candidates(u[:, 2:-1].reshape(count, 3, MIN_CANDIDATES))
-    rows, first = np.arange(count), keep.argmax(axis=1)
-    mid = np.column_stack([lat[rows, first], lon[rows, first]])
-    theta = uniform_from(u[:, -1], 0.0, 2.0 * math.pi)
-    v = spheroid.direct(mid, theta, legs[:, 1])
-    w = spheroid.direct(mid, theta + math.pi, legs[:, 1])
-    apex = spheroid.direct(mid, theta + 0.5 * math.pi, legs[:, 0])
-    c1 = spheroid.distance(apex, v)
-    c2 = spheroid.distance(apex, w)
-    c = 0.5 * (c1 + c2)
-    # NaN (no convergence) fails the comparison and so is replayed too
-    built = keep[rows, first] & (np.abs(c1 - c2) <= _ASYMMETRY_REL * c)
-    failed = np.flatnonzero(~built)
-    replay = int(failed[0]) if failed.size else count
-    triangles = [TriangleSample(a=a, b=b, c=h)
-                 for a, b, h in zip(legs[:replay, 0].tolist(), legs[:replay, 1].tolist(),
-                                    c[:replay].tolist())]
-    if replay < count:
-        stream.bit_generator.state = start
-        stream.random((replay, _DRAWS_PER_SAMPLE))
-        triangles += [_draw_triangle(spheroid, leg_range, stream)
-                      for _ in range(count - replay)]
+    triangles = []
+    while len(triangles) < count:
+        start = stream.bit_generator.state
+        n = count - len(triangles)
+        u = stream.random((n, 2 + _ATTEMPT_DRAWS))
+        legs = uniform_from(u[:, :2], *leg_range)
+        mid, theta, accepted = _midpoints(spheroid, u[:, 2:])
+        c, kept = _hypotenuses(spheroid, mid, theta, legs[:, 0], legs[:, 1])
+        failed = np.flatnonzero(~(accepted & kept))
+        done = int(failed[0]) if failed.size else n
+        triangles += [TriangleSample(a=a, b=b, c=h)
+                      for a, b, h in zip(legs[:done, 0].tolist(), legs[:done, 1].tolist(),
+                                         c[:done].tolist())]
+        if done < n:
+            stream.bit_generator.state = start
+            stream.random((done, 2 + _ATTEMPT_DRAWS))
+            triangles.append(_draw_triangle(spheroid, leg_range, stream))
     return triangles
 
 

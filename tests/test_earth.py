@@ -17,7 +17,12 @@ from curvgraph import (
     radius_from_curvature,
     sample_spheroid_triangle,
 )
-from curvgraph.errors import NonPositiveCurvature, TooFewAccepted
+from curvgraph.errors import (
+    NonPositiveCurvature,
+    SamplingStalled,
+    SpheroidNonConvergence,
+    TooFewAccepted,
+)
 
 
 def test_radius_from_curvature():
@@ -143,20 +148,37 @@ def test_ks_distance_of_exact_model_draws():
     assert ks_distance_to_expected(draws) < 0.03
 
 
-def _assert_chunk_equals_per_sample(spheroid, leg_range, count, seed):
-    """The chunk path gives the per-sample path's triangles and generator state, bit for bit."""
-    chunk_rng, each_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    chunk = earth._triangle_chunk(spheroid, leg_range, count, chunk_rng)
-    each = [earth._draw_triangle(spheroid, leg_range, each_rng) for _ in range(count)]
-    assert [t.sides() for t in chunk] == [t.sides() for t in each]
-    assert chunk_rng.bit_generator.state == each_rng.bit_generator.state
+def _one_construction_at_a_time(spheroid, leg_range, rng):
+    """Reference sample: legs, then one construction per loop with one-point geodesic calls."""
+    leg_a, leg_b = rng.uniform(*leg_range), rng.uniform(*leg_range)
+    while True:
+        mid = spheroid.sample_point(rng)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        try:
+            v = spheroid.direct(mid, theta, leg_b)
+            w = spheroid.direct(mid, theta + math.pi, leg_b)
+            u = spheroid.direct(mid, theta + 0.5 * math.pi, leg_a)
+            c1, c2 = spheroid.distance(u, v), spheroid.distance(u, w)
+        except SpheroidNonConvergence:
+            continue
+        c = 0.5 * (c1 + c2)
+        if abs(c1 - c2) <= earth._ASYMMETRY_REL * c:
+            return leg_a, leg_b, c
+
+
+def _assert_draws_equal_reference(draw, spheroid, leg_range, count, seed):
+    """``draw`` gives the reference's triangles and generator state, bit for bit."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = [t.sides() for t in draw(spheroid, leg_range, count, rng)]
+    assert got == [_one_construction_at_a_time(spheroid, leg_range, ref_rng) for _ in range(count)]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class _SparseSpheroid(Spheroid):
     """A spheroid that refuses most candidate points.
 
     About one round of 64 candidates in four then accepts none, so the
-    per-sample path draws another round and the chunk path must replay.
+    draw takes another round and the chunk path must replay.
     """
 
     def candidates(self, u):
@@ -174,19 +196,30 @@ def test_triangle_chunk_equals_per_sample_draws(seed, count, spheroid, asymmetry
     # an asymmetry bound of 2e-5 rejects about one construction in seven,
     # which sends the chunk to its per-sample replay
     with mock.patch.object(earth, "_ASYMMETRY_REL", asymmetry):
-        _assert_chunk_equals_per_sample(spheroid, (lo, lo + width), count, seed)
+        _assert_draws_equal_reference(earth._triangle_chunk, spheroid, (lo, lo + width), count,
+                                      seed)
 
 
-@pytest.mark.parametrize("name, value, count", [("_ASYMMETRY_REL", 5e-5, 60),
-                                                ("_MAX_ITER", 4, 10)])
-def test_triangle_chunk_replays_rejected_constructions(monkeypatch, name, value, count):
+@pytest.mark.parametrize("owner, name, value, count", [(earth, "_ASYMMETRY_REL", 5e-5, 60),
+                                                       (Spheroid, "_MAX_ITER", 4, 10)])
+def test_rejected_constructions_redraw_as_the_reference(monkeypatch, owner, name, value, count):
     # a tight asymmetry bound rejects some constructions, and four iterations
-    # leave most geodesics unconverged: either way the chunk must replay
-    monkeypatch.setattr(earth if name == "_ASYMMETRY_REL" else Spheroid, name, value)
+    # leave most geodesics unconverged: the chunk must replay, and a replayed
+    # sample tries several constructions in one array call
+    monkeypatch.setattr(owner, name, value)
     replayed = []
-    draw = earth._draw_triangle
-    monkeypatch.setattr(earth, "_draw_triangle", lambda *args: replayed.append(1) or draw(*args))
-    earth._triangle_chunk(earth_spheroid(), (500.0, 4000.0), count, np.random.default_rng(7))
+    one = earth._draw_triangle
+    monkeypatch.setattr(earth, "_draw_triangle", lambda *args: replayed.append(1) or one(*args))
+    _assert_draws_equal_reference(earth._triangle_chunk, earth_spheroid(), (500.0, 4000.0), count,
+                                  7)
     assert replayed
-    monkeypatch.setattr(earth, "_draw_triangle", draw)
-    _assert_chunk_equals_per_sample(earth_spheroid(), (500.0, 4000.0), count, 7)
+
+
+@pytest.mark.parametrize("owner, name, value, message", [
+    (earth, "_ASYMMETRY_REL", 0.0, "hypotenuse asymmetry kept exceeding 0.5%"),
+    (Spheroid, "_MAX_ITER", 1, "geodesic construction kept failing"),
+])
+def test_sample_triangle_stalls(monkeypatch, owner, name, value, message):
+    monkeypatch.setattr(owner, name, value)
+    with pytest.raises(SamplingStalled, match=message):
+        sample_spheroid_triangle(earth_spheroid(), 900.0, 700.0, np.random.default_rng(3))
