@@ -236,7 +236,8 @@ def test_fractal_cli_contract(level, draw, edge_scale):
        max_length=st.sampled_from([None, "0", "-1", "nan", "inf", "1e-300", "6400"]),
        legs=st.sampled_from([None, ("4000", "500"), ("nan", "4000"), ("500", "nan"),
                              ("500", "inf"), ("-inf", "4000")]),
-       axes=st.tuples(*[st.sampled_from([None, "0", "-1", "nan", "inf", "1e-300", "6357", "6378"])] * 2))
+       axes=st.tuples(*[st.sampled_from([None, "0", "-1", "nan", "inf", "1e-300", "6357",
+                                         "6378"])] * 2))
 def test_earth_cli_contract(samples, max_length, legs, axes):
     # every run either prints a radius summary or exits 1 with error JSON on
     # stderr; a warning counts as an escaped exception, as for fractal
@@ -347,7 +348,8 @@ def test_error_exit_json(tmp_path):
          "InvalidInput", "--sources must be at least 1, got 0"),
         (("distortion", "--graph", tmp_path / "ok", "--sources", -3, "--seed", 1),
          "InvalidInput", "--sources must be at least 1, got -3"),
-        (("earth", "--samples", 0, "--seed", 1), "InvalidInput", "--samples must be at least 1, got 0"),
+        (("earth", "--samples", 0, "--seed", 1), "InvalidInput",
+         "--samples must be at least 1, got 0"),
         (("earth", "--samples", -3, "--seed", 1), "InvalidInput",
          "--samples must be at least 1, got -3"),
         ((*earth, "--equatorial", "inf"), "ValueError",
@@ -355,8 +357,8 @@ def test_error_exit_json(tmp_path):
         ((*sprinkle, '{"type":"spheroid","equatorial_radius":1e400,"polar_radius":1}'),
          "ValueError", "equatorial_radius must be finite and strictly positive, got inf"),
         ((*sprinkle, '{"type":"spheroid","equatorial_radius":1e200,"polar_radius":1e-200}'),
-         "ValueError",
-         "spheroid too flat: 1 - e^2 rounds to 0 for equatorial_radius 1e+200 and polar_radius 1e-200"),
+         "ValueError", "spheroid too flat: 1 - e^2 rounds to 0 for equatorial_radius 1e+200 "
+                       "and polar_radius 1e-200"),
     ]:
         proc = run_cli(*args, check=False)
         assert proc.returncode == 1, args

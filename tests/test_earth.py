@@ -194,7 +194,7 @@ class _SparseSpheroid(Spheroid):
        lo=st.floats(1.0, 3000.0), width=st.floats(0.0, 1000.0))
 def test_triangle_chunk_equals_per_sample_draws(seed, count, spheroid, asymmetry, lo, width):
     # an asymmetry bound of 2e-5 rejects about one construction in seven,
-    # which sends the chunk to its per-sample replay
+    # which sends those samples to be built on their own
     with mock.patch.object(earth, "_ASYMMETRY_REL", asymmetry):
         _assert_draws_equal_reference(earth._triangle_chunk, spheroid, (lo, lo + width), count,
                                       seed)
