@@ -15,6 +15,7 @@ generator.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -54,7 +55,14 @@ class Manifold:
         return float(self.distances_from(p, np.asarray(q)[None, :])[0])
 
     def distances_from(self, p, qs):
-        """Geodesic distances from one point to each row of ``qs``."""
+        """Geodesic distances from ``p`` to each row of ``qs``.
+
+        ``p`` is one point, or an array of points aligned row for row with
+        ``qs``.  Either way each element goes through the same operations,
+        so a pair's distance has the same bits whatever else shares the
+        call: one aligned-array call over many pairs equals a loop of
+        one-source calls.
+        """
         raise NotImplementedError
 
     def diameter(self):
@@ -111,6 +119,9 @@ class _EmbeddedSphere(Manifold):
     def __init__(self, radius):
         _check_positive(radius=radius)
         self.radius = float(radius)
+        # distances divide by radius**2, which must neither underflow nor overflow
+        if not sys.float_info.min <= self.radius * self.radius < math.inf:
+            raise ValueError(f"radius must have a finite normal square, got {radius}")
 
     def sample_points(self, n, rng):
         v = rng.normal(size=(n, self.dim_embed))
@@ -123,9 +134,9 @@ class _EmbeddedSphere(Manifold):
         # one ulp into ~1e-8, so a pair's distance would depend on its batch.
         r = self.radius
         u = np.asarray(p) / (r * r)
-        dot = qs[:, 0] * u[0]
+        dot = qs[:, 0] * u[..., 0]
         for k in range(1, self.dim_embed):
-            dot += qs[:, k] * u[k]
+            dot += qs[:, k] * u[..., k]
         return r * np.arccos(np.clip(dot, -1.0, 1.0))
 
     def diameter(self):
@@ -184,10 +195,16 @@ class HyperbolicDisk(Manifold):
         return np.column_stack([r, theta])
 
     def distances_from(self, p, qs):
+        # The source terms cosh and sinh of r1/k come from ``math``, once per
+        # distinct source radius: numpy's cosh and sinh differ from it in the
+        # last ulp for a fifth of arguments, which would move every distance.
         k = self.curvature_scale
-        r1, t1 = float(p[0]), float(p[1])
+        p = np.asarray(p, dtype=np.float64)
+        r1, inverse = np.unique(p[..., 0] / k, return_inverse=True)
+        cosh1 = np.array([math.cosh(x) for x in r1.tolist()])[inverse]
+        sinh1 = np.array([math.sinh(x) for x in r1.tolist()])[inverse]
         r2, t2 = qs[:, 0] / k, qs[:, 1]
-        arg = math.cosh(r1 / k) * np.cosh(r2) - math.sinh(r1 / k) * np.sinh(r2) * np.cos(t1 - t2)
+        arg = cosh1 * np.cosh(r2) - sinh1 * np.sinh(r2) * np.cos(p[..., 1] - t2)
         return k * np.arccosh(np.maximum(arg, 1.0))
 
     def diameter(self):

@@ -29,6 +29,7 @@ _BRACKET_STEPS = 64  # cap on the upward bracket walk
 _PAD_REL = 1e-6
 _WIDEN = 1.25  # a query that must grow covers at least this much more length
 _VERIFY_FRACTION = 0.01  # share of built edges re-checked with the scalar distance
+_PAIR_BLOCK = 1 << 15  # candidate pairs per distance call: bounds its temporaries
 
 
 def pairwise_distances(manifold, points, dtype=np.float32):
@@ -45,10 +46,13 @@ class CandidatePairs:
 
     A k-d tree fixed-radius query in ``manifold.chart`` coordinates finds a
     superset of the pairs within a length (chords are at most
-    ``manifold.chord_bound`` of it); ``manifold.distances_from`` then gives
-    their exact distances, one source row at a time.  ``d`` holds them in
-    ascending order with ``i``, ``j`` alongside, and ``d32`` is their float32
-    rounding.  The query widens only when a probe asks for a longer length.
+    ``manifold.chord_bound`` of it); aligned-array calls
+    ``manifold.distances_from(points[i], points[j])`` then give their exact
+    distances, bit for bit those of one-source calls (see
+    :meth:`Manifold.distances_from`), over blocks of ``_PAIR_BLOCK`` pairs
+    so that their temporaries stay small.  ``d`` holds them in ascending order
+    with ``i``, ``j`` alongside, and ``d32`` is their float32 rounding.
+    The query widens only when a probe asks for a longer length.
     """
 
     def __init__(self, manifold, points):
@@ -68,12 +72,10 @@ class CandidatePairs:
         length = max(length, _WIDEN * self.reach)
         radius = self.manifold.chord_bound(length + _PAD_REL * self.manifold.diameter())
         ij = self._tree.query_pairs(radius * (1.0 + _PAD_REL), output_type="ndarray")
-        ij = ij[np.argsort(ij[:, 0])]  # group by source row
         d = np.empty(len(ij))
-        bounds = np.searchsorted(ij[:, 0], np.arange(self.n + 1)).tolist()
-        for i, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
-            if e > s:
-                d[s:e] = self.manifold.distances_from(self.points[i], self.points[ij[s:e, 1]])
+        for s in range(0, len(ij), _PAIR_BLOCK):
+            i, j = ij[s : s + _PAIR_BLOCK].T
+            d[s : s + _PAIR_BLOCK] = self.manifold.distances_from(self.points[i], self.points[j])
         keep = np.flatnonzero(d <= length)
         keep = keep[np.argsort(d[keep])]
         self.i, self.j, self.d = ij[keep, 0], ij[keep, 1], d[keep]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvgraph import (
     EuclideanDisk,
@@ -11,7 +13,7 @@ from curvgraph import (
     Spheroid,
     manifold_from_json,
 )
-from curvgraph.errors import UnsupportedManifold
+from curvgraph.errors import SpheroidNonConvergence, UnsupportedManifold
 
 
 def test_manifold_validation():
@@ -160,19 +162,70 @@ def test_metric_axioms_random_triples():
             assert dij <= (dik + dkj) * (1 + tol)
 
 
+MANIFOLDS = [Sphere2(1.0), Sphere3(1.3), HyperbolicDisk(1.0, 2.0), EuclideanDisk(2.0),
+             Spheroid(6378.0, 6357.0)]
+
+
 def test_distances_independent_of_batch():
     # a pair's distance must not depend on which other rows share the call;
     # duplicated points make the arccos near 1 expose any rounding difference
     rng = np.random.default_rng(21)
-    for manifold in [Sphere2(1.0), Sphere3(1.3), HyperbolicDisk(1.0, 2.0), EuclideanDisk(2.0),
-                     Spheroid(6378.0, 6357.0)]:
+    for manifold in MANIFOLDS:
         pts = manifold.sample_points(40, rng)
         pts[20:] = pts[:20]
+        rows = []
         for i in range(40):
             row = manifold.distances_from(pts[i], pts)
             for j in range(40):
                 assert row[j] == manifold.distances_from(pts[i], pts[[j]])[0]
                 assert row[j] == manifold.distances_from(pts[i], pts[j:])[0]
+            rows.append(row)
+        # one aligned-array call over every pair gives the rows' bits
+        i_arr, j_arr = np.divmod(np.arange(40 * 40), 40)
+        aligned = manifold.distances_from(pts[i_arr], pts[j_arr])
+        assert np.array_equal(aligned.reshape(40, 40), np.array(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(manifold=st.sampled_from(MANIFOLDS),
+       seed=st.integers(0, 2**32 - 1),
+       pairs=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=80))
+def test_aligned_distances_equal_per_row_calls(manifold, seed, pairs):
+    # random aligned index arrays, repeats and any order included, against
+    # one one-source call per pair; a third of the points are duplicates.  A
+    # spheroid call raises when some pair does not converge (near-antipodal)
+    def call(p, qs):
+        try:
+            return manifold.distances_from(p, qs).tolist()
+        except SpheroidNonConvergence:
+            return None
+
+    pts = manifold.sample_points(30, np.random.default_rng(seed))
+    pts[20:] = pts[:10]
+    i_arr = np.array([i for i, _ in pairs], dtype=np.intp)
+    j_arr = np.array([j for _, j in pairs], dtype=np.intp)
+    per_pair = [call(pts[i], pts[[j]]) for i, j in pairs]
+    expect = None if None in per_pair else [d for (d,) in per_pair]
+    assert call(pts[i_arr], pts[j_arr]) == expect
+
+
+def test_hyperbolic_source_terms_come_from_math():
+    # cosh and sinh of the source radius come from math, as in the one-source
+    # scalar formula below; numpy's differ from math in the last bit for about
+    # a fifth of arguments, which would move stored distances and graphs
+    m = HyperbolicDisk(1.3, 2.0)
+    pts = m.sample_points(200, np.random.default_rng(26))
+    k = m.curvature_scale
+
+    def one_source(p, qs):
+        r1, r2 = p[0] / k, qs[:, 0] / k
+        arg = (math.cosh(r1) * np.cosh(r2)
+               - math.sinh(r1) * np.sinh(r2) * np.cos(p[1] - qs[:, 1]))
+        return k * np.arccosh(np.maximum(arg, 1.0))
+
+    expect = np.array([one_source(p, pts) for p in pts])
+    i_arr, j_arr = np.divmod(np.arange(200 * 200), 200)
+    assert np.array_equal(m.distances_from(pts[i_arr], pts[j_arr]), expect.ravel())
 
 
 def test_rotation_isometry():
