@@ -45,6 +45,23 @@ def _emit(obj):
     sys.stdout.write(text + "\n")
 
 
+def _require_positive(flag, value):
+    if value < 1:
+        raise InvalidInput(f"{flag} must be at least 1, got {value}")
+
+
+def _parse_counts(text):
+    """``--counts``: a non-empty comma-separated list of vertex counts >= 2."""
+    try:
+        counts = [int(c) for c in text.split(",") if c]
+    except ValueError:
+        counts = []
+    if not counts or min(counts) < 2:
+        raise InvalidInput(f"--counts must be a non-empty comma-separated list of integers "
+                           f">= 2, got {text!r}")
+    return counts
+
+
 def _parse_manifold(text):
     """Inline JSON or a path to a JSON file."""
     try:
@@ -80,8 +97,8 @@ def _cmd_sprinkle(args):
 
 
 def _cmd_distortion(args):
-    if args.sources is not None and args.sources < 1:
-        raise InvalidInput(f"--sources must be at least 1, got {args.sources}")
+    if args.sources is not None:
+        _require_positive("--sources", args.sources)
     gg = load_geometric_graph(args.graph)
     sources = default_sources(gg.vertex_count, substream(args.seed, _TAG["distortion"]),
                               args.sources)
@@ -117,6 +134,7 @@ def _cmd_curvature(args):
 
 
 def _cmd_wolfram(args):
+    _require_positive("--vertices", args.vertices)
     gg = _load_graph(args.graph, args.seed)
     rng = substream(args.seed, _TAG["wolfram"])
     rep = estimate_wolfram(gg.graph, gg.effective_edge_length, args.vertices, rng)
@@ -124,8 +142,12 @@ def _cmd_wolfram(args):
 
 
 def _cmd_converge(args):
+    counts = _parse_counts(args.counts)
+    _require_positive("--seeds-per", args.seeds_per)
+    _require_positive("--samples", args.samples)
+    if not math.isfinite(args.true_k):
+        raise InvalidInput(f"--true-k must be finite, got {args.true_k}")
     manifold = _parse_manifold(args.manifold)
-    counts = [int(c) for c in args.counts.split(",") if c]
     points = run_sweep(manifold, args.true_k, counts, args.seeds_per, args.samples,
                        master_seed=args.seed)
     if args.csv:
@@ -148,8 +170,7 @@ def _cmd_fractal(args):
 
 
 def _cmd_earth(args):
-    if args.samples < 1:
-        raise InvalidInput(f"--samples must be at least 1, got {args.samples}")
+    _require_positive("--samples", args.samples)
     rng = substream(args.seed, _TAG["earth"])
     spheroid = Spheroid(args.equatorial, args.polar)
     rep = estimate_earth_radius(

@@ -92,6 +92,8 @@ def wolfram_ricci_K(profile, l_e):
 
 def estimate_wolfram(g, l_e, n_vertices, rng):
     """Curvature report from ball-volume fits at sampled center vertices."""
+    if n_vertices < 1:
+        raise ValueError(f"need n_vertices >= 1, got {n_vertices}")
     if not is_connected(g):
         raise Disconnected("ball-volume estimation requires a connected graph")
     n = g.vertex_count

@@ -164,15 +164,14 @@ def test_converge_schema(tmp_path):
     def reject(name):
         raise AssertionError(f"non-JSON constant {name}")
 
-    # a count with no usable graph (too few vertices, or no seeds) reports
+    # a count with no usable graph (too few vertices to connect) reports
     # null, not NaN: Python's parser and jsonschema would both accept NaN
-    for counts, seeds_per in (("3,4", 1), ("120", 0)):
-        proc = run_cli("converge", "--manifold", '{"type":"sphere2","radius":1.0}',
-                       "--true-k", 1.0, "--counts", counts, "--seeds-per", seeds_per,
-                       "--samples", 10, "--seed", 1)
-        payload = json.loads(proc.stdout, parse_constant=reject)
-        validate(payload, "sweep_report")
-        assert [p["meanDistortion"] for p in payload["points"]] == [None] * len(counts.split(","))
+    proc = run_cli("converge", "--manifold", '{"type":"sphere2","radius":1.0}',
+                   "--true-k", 1.0, "--counts", "3,4", "--seeds-per", 1,
+                   "--samples", 10, "--seed", 1)
+    payload = json.loads(proc.stdout, parse_constant=reject)
+    validate(payload, "sweep_report")
+    assert [p["meanDistortion"] for p in payload["points"]] == [None, None]
 
 
 def test_fractal_exact_and_sampled(tmp_path):
@@ -205,6 +204,23 @@ def test_fractal_edge_scale():
     assert scaled["mean"] == pytest.approx(16 * base["mean"], rel=1e-12)
 
 
+def run_in_process(argv, schema):
+    """Run ``cli.main``: it either prints a report valid under ``schema`` or
+    exits 1 with error JSON on stderr.  A warning counts as an escaped
+    exception, since the CLI would print it on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        validate(json.loads(out.getvalue()), schema)
+    else:
+        assert code == 1 and out.getvalue() == ""
+        validate(json.loads(err.getvalue()), "error")
+
+
 @settings(max_examples=300, deadline=None)
 @given(level=st.sampled_from([-1, 0, 1, 2, 3, 7, 13]),
        draw=st.sampled_from(["--exact", "--samples=-5", "--samples=0", "--samples=1",
@@ -212,21 +228,8 @@ def test_fractal_edge_scale():
        edge_scale=st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e100", "1e-100",
                                    "1e300", "1e-300", "0.5", "1", "2"]))
 def test_fractal_cli_contract(level, draw, edge_scale):
-    # every run either prints a stats report or exits 1 with error JSON on
-    # stderr; a warning counts as an escaped exception, since the CLI would
-    # print it on stderr
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["fractal", f"--level={level}", draw, f"--edge-scale={edge_scale}",
-                     "--seed=1"])
-    if code == 0:
-        assert err.getvalue() == ""
-        validate(json.loads(out.getvalue()), "fractal_stats")
-    else:
-        assert code == 1 and out.getvalue() == ""
-        validate(json.loads(err.getvalue()), "error")
+    run_in_process(["fractal", f"--level={level}", draw, f"--edge-scale={edge_scale}",
+                    "--seed=1"], "fractal_stats")
 
 
 @settings(max_examples=150, deadline=None)
@@ -239,8 +242,6 @@ def test_fractal_cli_contract(level, draw, edge_scale):
        axes=st.tuples(*[st.sampled_from([None, "0", "-1", "nan", "inf", "1e-300", "6357",
                                          "6378"])] * 2))
 def test_earth_cli_contract(samples, max_length, legs, axes):
-    # every run either prints a radius summary or exits 1 with error JSON on
-    # stderr; a warning counts as an escaped exception, as for fractal
     argv = ["earth", f"--samples={samples}", "--seed=1"]
     if max_length is not None:
         argv.append(f"--max-length={max_length}")
@@ -248,17 +249,47 @@ def test_earth_cli_contract(samples, max_length, legs, axes):
         argv += [f"--leg-min={legs[0]}", f"--leg-max={legs[1]}"]
     argv += [f"--{flag}={value}" for flag, value in zip(("equatorial", "polar"), axes)
              if value is not None]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(argv)
-    if code == 0:
-        assert err.getvalue() == ""
-        validate(json.loads(out.getvalue()), "earth_summary")
-    else:
-        assert code == 1 and out.getvalue() == ""
-        validate(json.loads(err.getvalue()), "error")
+    run_in_process(argv, "earth_summary")
+
+
+@pytest.fixture(scope="module")
+def tiny_graph_prefixes(tmp_path_factory):
+    """A stored 60-vertex sphere graph, a missing one and one with a garbled sidecar."""
+    d = tmp_path_factory.mktemp("tiny")
+    run_cli("sprinkle", "--manifold", '{"type":"sphere2","radius":1.0}', "--n", 60,
+            "--seed", 5, "--out", d / "g")
+    (d / "garbled.edges").write_text((d / "g.edges").read_text())
+    (d / "garbled.json").write_text("{not json")
+    return {"tiny": d / "g", "missing": d / "missing", "garbled": d / "garbled"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=st.sampled_from(["tiny", "missing", "garbled"]),
+       vertices=st.sampled_from(["-5", "0", "1", "7", str(10**15)]))
+def test_wolfram_cli_contract(tiny_graph_prefixes, graph, vertices):
+    run_in_process(["wolfram", f"--graph={tiny_graph_prefixes[graph]}",
+                    f"--vertices={vertices}", "--seed=1"], "curvature_report")
+
+
+SPHERE = '{"type":"sphere2","radius":1.0}'
+HYPERBOLIC = '{"type":"hyperbolic","curvature_scale":1.0,"disk_radius":1.0}'
+
+
+@settings(max_examples=60, deadline=None)
+@example(manifold=SPHERE, counts="30", seeds_per="2", samples="5", true_k="1")
+@example(manifold=SPHERE, counts="3,4", seeds_per="1", samples="5", true_k="1e300")
+@example(manifold=SPHERE, counts="40,20", seeds_per="2", samples="1", true_k="0")
+@example(manifold=HYPERBOLIC, counts="40,20", seeds_per="1", samples="5", true_k="-1")
+@given(manifold=st.sampled_from([SPHERE, HYPERBOLIC, '{"type":"sphere2","radius":1e-300}']),
+       counts=st.sampled_from(["", ",", "200,x", "-5", "1", "2", "3,4", "30", "40,20", "1e3"]),
+       seeds_per=st.sampled_from(["-1", "0", "1", "2"]),
+       samples=st.sampled_from(["-1", "0", "1", "5"]),
+       true_k=st.sampled_from(["nan", "inf", "-inf", "0", "1", "-1", "1e300"]))
+def test_converge_cli_contract(manifold, counts, seeds_per, samples, true_k):
+    # hostile numbers for every flag; graphs of at most 40 vertices keep it fast
+    run_in_process(["converge", f"--manifold={manifold}", f"--counts={counts}",
+                    f"--seeds-per={seeds_per}", f"--samples={samples}", f"--true-k={true_k}",
+                    "--seed=1"], "sweep_report")
 
 
 def test_earth_schema_and_csv(tmp_path):
@@ -328,6 +359,12 @@ def test_error_exit_json(tmp_path):
     scaled = "edge_scale ** (-2 * level) must lie in [1e-100, 1e100], got "
     cap = "max_length_scale must be None or finite and > 0, got "
     legs = "leg_range must satisfy 0 < min <= max < a quarter of the minor circumference, got "
+    wolfram = ("wolfram", "--seed", 1, "--vertices")
+    converge = ("converge", "--manifold", '{"type":"sphere2","radius":1.0}', "--seed", 1)
+    sweep = ("--true-k", 1, "--samples", 10)
+    one_graph = ("--counts", 200, "--seeds-per", 1)
+    counts = "--counts must be a non-empty comma-separated list of integers >= 2, got "
+    square = "radius must have a finite normal square, got "
     for args, error, message in [
         (("distortion", "--graph", tmp_path / "neg", "--seed", 1),
          "ValueError", "edge endpoint out of range"),
@@ -359,6 +396,27 @@ def test_error_exit_json(tmp_path):
         ((*sprinkle, '{"type":"spheroid","equatorial_radius":1e200,"polar_radius":1e-200}'),
          "ValueError", "spheroid too flat: 1 - e^2 rounds to 0 for equatorial_radius 1e+200 "
                        "and polar_radius 1e-200"),
+        ((*sprinkle, '{"type":"sphere2","radius":1e-300}'), "ValueError", square + "1e-300"),
+        ((*sprinkle, '{"type":"sphere2","radius":1e308}'), "ValueError", square + "1e+308"),
+        # checked before the graph is loaded: the second graph does not exist
+        ((*wolfram, -5, "--graph", tmp_path / "ok"), "InvalidInput",
+         "--vertices must be at least 1, got -5"),
+        ((*wolfram, 0, "--graph", tmp_path / "nope"), "InvalidInput",
+         "--vertices must be at least 1, got 0"),
+        # checked before any sprinkle
+        ((*converge, *sweep, "--counts", 200, "--seeds-per", 0), "InvalidInput",
+         "--seeds-per must be at least 1, got 0"),
+        ((*converge, *sweep, "--counts", 200, "--seeds-per", -1), "InvalidInput",
+         "--seeds-per must be at least 1, got -1"),
+        ((*converge, *sweep, "--counts", "", "--seeds-per", 1), "InvalidInput", counts + "''"),
+        ((*converge, *sweep, "--counts", "200,x", "--seeds-per", 1), "InvalidInput",
+         counts + "'200,x'"),
+        ((*converge, *sweep, "--counts", -5, "--seeds-per", 1), "InvalidInput",
+         counts + "'-5'"),
+        ((*converge, *one_graph, "--true-k", "nan", "--samples", 10), "InvalidInput",
+         "--true-k must be finite, got nan"),
+        ((*converge, *one_graph, "--true-k", 1, "--samples", 0), "InvalidInput",
+         "--samples must be at least 1, got 0"),
     ]:
         proc = run_cli(*args, check=False)
         assert proc.returncode == 1, args

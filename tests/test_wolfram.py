@@ -84,6 +84,12 @@ def test_estimate_wolfram_all_fits_degenerate():
         estimate_wolfram(path(30), 1.0, 20, np.random.default_rng(10))
 
 
+@pytest.mark.parametrize("n_vertices", [0, -5])
+def test_estimate_wolfram_needs_a_centre(n_vertices):
+    with pytest.raises(ValueError, match=f"need n_vertices >= 1, got {n_vertices}"):
+        estimate_wolfram(cycle(30), 0.1, n_vertices, np.random.default_rng(11))
+
+
 def test_estimate_wolfram_deterministic():
     rng = np.random.default_rng(82)
     gg = sprinkle(Sphere2(1.0), 500, 0.25, rng=rng)
