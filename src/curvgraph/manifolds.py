@@ -101,7 +101,8 @@ class Manifold:
 
 def _check_positive(**lengths):
     for name, value in lengths.items():
-        if not 0 < value < math.inf:
+        # the upper bound also refuses a JSON integer too large for a float
+        if not 0 < value <= sys.float_info.max:
             raise ValueError(f"{name} must be finite and strictly positive, got {value}")
 
 
@@ -195,9 +196,13 @@ class HyperbolicDisk(Manifold):
         return np.column_stack([r, theta])
 
     def distances_from(self, p, qs):
-        # The source terms cosh and sinh of r1/k come from ``math``, once per
-        # distinct source radius: numpy's cosh and sinh differ from it in the
-        # last ulp for a fifth of arguments, which would move every distance.
+        """Hyperbolic law of cosines from ``p`` (one or aligned) to each row of ``qs``.
+
+        The source terms cosh(r1/k) and sinh(r1/k) come from ``math``, once
+        per distinct source radius, as in a one-source call: numpy's cosh
+        and sinh differ from ``math`` in the last ulp for about a fifth of
+        arguments, which would move stored distances and graphs.
+        """
         k = self.curvature_scale
         p = np.asarray(p, dtype=np.float64)
         r1, inverse = np.unique(p[..., 0] / k, return_inverse=True)

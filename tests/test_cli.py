@@ -398,6 +398,8 @@ def test_error_exit_json(tmp_path):
                        "and polar_radius 1e-200"),
         ((*sprinkle, '{"type":"sphere2","radius":1e-300}'), "ValueError", square + "1e-300"),
         ((*sprinkle, '{"type":"sphere2","radius":1e308}'), "ValueError", square + "1e+308"),
+        ((*sprinkle, '{"type":"sphere2","radius":1' + "0" * 400 + "}"), "ValueError",
+         "radius must be finite and strictly positive, got 1" + "0" * 400),
         # checked before the graph is loaded: the second graph does not exist
         ((*wolfram, -5, "--graph", tmp_path / "ok"), "InvalidInput",
          "--vertices must be at least 1, got -5"),
