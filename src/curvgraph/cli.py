@@ -45,9 +45,9 @@ def _emit(obj):
     sys.stdout.write(text + "\n")
 
 
-def _require_positive(flag, value):
-    if value < 1:
-        raise InvalidInput(f"{flag} must be at least 1, got {value}")
+def _require_at_least(flag, value, least=1):
+    if value < least:
+        raise InvalidInput(f"{flag} must be at least {least}, got {value}")
 
 
 def _parse_counts(text):
@@ -81,6 +81,11 @@ def _load_graph(prefix, seed):
 
 
 def _cmd_sprinkle(args):
+    _require_at_least("--n", args.n, 2)
+    if not 0 < args.p <= 1:
+        raise InvalidInput(f"--p must be in (0, 1], got {args.p}")
+    if args.l is not None and not 0 < args.l < math.inf:
+        raise InvalidInput(f"--l must be finite and > 0, got {args.l}")
     manifold = _parse_manifold(args.manifold)
     rng = substream(args.seed, _TAG["sprinkle"])
     gg = sprinkle(manifold, args.n, args.p, rng=rng, l_override=args.l)
@@ -98,7 +103,7 @@ def _cmd_sprinkle(args):
 
 def _cmd_distortion(args):
     if args.sources is not None:
-        _require_positive("--sources", args.sources)
+        _require_at_least("--sources", args.sources)
     gg = load_geometric_graph(args.graph)
     sources = default_sources(gg.vertex_count, substream(args.seed, _TAG["distortion"]),
                               args.sources)
@@ -107,6 +112,12 @@ def _cmd_distortion(args):
 
 
 def _cmd_curvature(args):
+    _require_at_least("--samples", args.samples)
+    for flag, hops in (("--smin", args.smin), ("--smax", args.smax)):
+        if hops is not None:
+            _require_at_least(flag, hops, 2)
+    if None not in (args.smin, args.smax) and args.smin > args.smax:
+        raise InvalidInput(f"--smin must not exceed --smax, got {args.smin} > {args.smax}")
     if args.per_vertex:
         unused = [flag for flag, given in (("--max-length", args.max_length is not None),
                                            ("--csv", args.csv is not None),
@@ -134,7 +145,7 @@ def _cmd_curvature(args):
 
 
 def _cmd_wolfram(args):
-    _require_positive("--vertices", args.vertices)
+    _require_at_least("--vertices", args.vertices)
     gg = _load_graph(args.graph, args.seed)
     rng = substream(args.seed, _TAG["wolfram"])
     rep = estimate_wolfram(gg.graph, gg.effective_edge_length, args.vertices, rng)
@@ -143,8 +154,8 @@ def _cmd_wolfram(args):
 
 def _cmd_converge(args):
     counts = _parse_counts(args.counts)
-    _require_positive("--seeds-per", args.seeds_per)
-    _require_positive("--samples", args.samples)
+    _require_at_least("--seeds-per", args.seeds_per)
+    _require_at_least("--samples", args.samples)
     if not math.isfinite(args.true_k):
         raise InvalidInput(f"--true-k must be finite, got {args.true_k}")
     manifold = _parse_manifold(args.manifold)
@@ -170,7 +181,7 @@ def _cmd_fractal(args):
 
 
 def _cmd_earth(args):
-    _require_positive("--samples", args.samples)
+    _require_at_least("--samples", args.samples)
     rng = substream(args.seed, _TAG["earth"])
     spheroid = Spheroid(args.equatorial, args.polar)
     rep = estimate_earth_radius(

@@ -8,15 +8,14 @@ as a construction-error diagnostic.  Curvature comes from the right
 triangle (legA, legB, c) and the local radius estimate is R = 1/sqrt(K).
 
 Triangles are built a chunk of samples at a time with array geodesics
-(``Spheroid.direct`` and ``Spheroid.distance`` over arrays), from one
-block of uniforms that holds each sample's draws in the order the
-one-construction-at-a-time loop takes them.  A sample that loop would
-have redrawn (no accepted candidate point, a geodesic that does not
-converge, or the asymmetry rejection) is built on its own by
-``sample_spheroid_triangle`` from the same stream position, which tries
-its constructions several at a time as arrays; the chunk then goes on in
-array form after it.  Every seeded result is that of the loop, bit for
-bit.  The root solves stay one per triangle.
+(``Spheroid.direct`` and ``Spheroid.distance`` over arrays).  One block of
+uniforms holds each sample's two legs and its first construction: a round
+of candidate points for the base midpoint, and the azimuth.  A sample whose
+construction is not kept (no accepted candidate, a geodesic that does not
+converge, or the asymmetry rejection) is pending: the pending samples draw
+one more construction each, in sample order, and are built again, until
+none is pending.  ``sample_spheroid_triangle`` is the same loop on one
+sample.  The root solves stay one per triangle.
 
 Defaults use the stated earth parameters: equatorial 6378 km, polar
 6357 km.  On that spheroid the pointwise radius 1/sqrt(Gaussian curvature)
@@ -53,7 +52,6 @@ _STALL_LIMIT = 10**3
 # uniforms of one construction: a round of candidate latitudes, longitudes
 # and acceptances for the base midpoint, and the azimuth
 _ATTEMPT_DRAWS = 3 * MIN_CANDIDATES + 1
-_ATTEMPTS = 16  # constructions sample_spheroid_triangle tries per array call
 
 
 def earth_spheroid():
@@ -93,7 +91,7 @@ def _midpoints(spheroid, u):
 
     A row holds the _ATTEMPT_DRAWS uniforms of one construction: a round of
     MIN_CANDIDATES latitude, longitude and acceptance draws, as
-    ``sample_point`` takes them, then the azimuth.  The midpoint is the
+    ``Spheroid.candidates`` reads them, then the azimuth.  The midpoint is the
     round's first accepted candidate.
     """
     lat, lon, keep = spheroid.candidates(u[:, :-1].reshape(len(u), 3, MIN_CANDIDATES))
@@ -119,89 +117,58 @@ def _hypotenuses(spheroid, mid, theta, leg_a, leg_b):
     return c, np.abs(c1 - c2) <= _ASYMMETRY_REL * c
 
 
+def _retried_hypotenuses(spheroid, leg_a, leg_b, u, stream):
+    """Averaged hypotenuse of each sample's first kept construction.
+
+    Row i of ``u`` holds the _ATTEMPT_DRAWS of sample i's first
+    construction, on legs ``leg_a[i]`` and ``leg_b[i]``.  A construction is
+    not kept when its round of candidates accepted none or ``_hypotenuses``
+    does not keep it; the samples still pending then draw one more
+    construction each, in sample order, with one ``stream.random`` call, and
+    are built again.  A sample rejected _STALL_LIMIT times stalls.
+    """
+    c = np.empty(len(u))
+    pending = np.arange(len(u))
+    for _ in range(_STALL_LIMIT):
+        mid, theta, accepted = _midpoints(spheroid, u)
+        h, kept = _hypotenuses(spheroid, mid, theta, leg_a[pending], leg_b[pending])
+        kept &= accepted
+        c[pending[kept]] = h[kept]
+        pending, h = pending[~kept], h[~kept]
+        if not pending.size:
+            return c
+        u = stream.random((pending.size, _ATTEMPT_DRAWS))
+    raise SamplingStalled("geodesic construction kept failing" if math.isnan(h[0])
+                          else "hypotenuse asymmetry kept exceeding 0.5%")
+
+
 def sample_spheroid_triangle(spheroid, leg_a, leg_b, rng):
     """One geodesic right triangle (legA, legB, averaged hypotenuse).
 
     A construction that is not kept draws a new midpoint and azimuth, up to
-    _STALL_LIMIT times.  The constructions are tried _ATTEMPTS at a time as
-    arrays, and the stream is then put where the one-at-a-time loop would
-    have left it: after the first kept construction's draws, or before a
-    construction whose round of candidates accepted none, which draws its
-    midpoint with ``sample_point`` instead.
+    _STALL_LIMIT times: ``_retried_hypotenuses`` on one sample.
     """
     if not (leg_a > 0 and leg_b > 0):
         raise ValueError("legs must be positive")
     if max(leg_a, leg_b) >= _quarter_minor_circumference(spheroid):
         raise ValueError("legs must stay below a quarter of the minor circumference")
-    rejections = 0
-
-    def reject(c):
-        nonlocal rejections
-        rejections += 1
-        if rejections >= _STALL_LIMIT:
-            raise SamplingStalled("geodesic construction kept failing" if math.isnan(c)
-                                  else "hypotenuse asymmetry kept exceeding 0.5%")
-
-    while True:
-        start = rng.bit_generator.state
-        mid, theta, accepted = _midpoints(spheroid, rng.random((_ATTEMPTS, _ATTEMPT_DRAWS)))
-        c, kept = _hypotenuses(spheroid, mid, theta, leg_a, leg_b)
-        stop = np.flatnonzero(kept | ~accepted)
-        tried = int(stop[0]) if stop.size else _ATTEMPTS
-        for k in range(tried):
-            reject(c[k])
-        if tried == _ATTEMPTS:
-            continue
-        rng.bit_generator.state = start
-        rng.random((tried + int(accepted[tried]), _ATTEMPT_DRAWS))
-        if accepted[tried]:
-            return TriangleSample(a=leg_a, b=leg_b, c=float(c[tried]))
-        mid = spheroid.sample_point(rng)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        c, kept = _hypotenuses(spheroid, mid[None], theta, leg_a, leg_b)
-        if kept[0]:
-            return TriangleSample(a=leg_a, b=leg_b, c=float(c[0]))
-        reject(c[0])
-
-
-def _draw_triangle(spheroid, leg_range, stream):
-    """One sample: two legs from ``leg_range``, then a triangle on them."""
-    leg_a = stream.uniform(*leg_range)
-    leg_b = stream.uniform(*leg_range)
-    return sample_spheroid_triangle(spheroid, leg_a, leg_b, stream)
+    c = _retried_hypotenuses(spheroid, np.array([leg_a]), np.array([leg_b]),
+                             rng.random((1, _ATTEMPT_DRAWS)), rng)
+    return TriangleSample(a=leg_a, b=leg_b, c=float(c[0]))
 
 
 def _triangle_chunk(spheroid, leg_range, count, stream):
-    """The triangles of ``count`` calls of ``_draw_triangle``, built as arrays.
+    """``count`` triangles with legs from ``leg_range``, built as arrays.
 
-    One ``stream.random`` call takes each sample's draws in the order
-    ``_draw_triangle`` takes them when its first construction is kept: two
-    legs, then the _ATTEMPT_DRAWS of one construction.  A sample whose
-    first construction is not kept, or whose round of candidates accepted
-    none, would have drawn more values: the stream goes back to where the
-    block started, skips the draws of the samples before it, and that
-    sample is built by ``_draw_triangle``; the samples after it start a new
-    block from there.  Either way the draws, and so the triangles, are
-    those of ``_draw_triangle``, bit for bit.
+    One ``stream.random`` call takes each sample's two legs and the
+    _ATTEMPT_DRAWS of its first construction; the samples whose
+    construction is not kept draw again after it, in ``_retried_hypotenuses``.
     """
-    triangles = []
-    while len(triangles) < count:
-        start = stream.bit_generator.state
-        n = count - len(triangles)
-        u = stream.random((n, 2 + _ATTEMPT_DRAWS))
-        legs = uniform_from(u[:, :2], *leg_range)
-        mid, theta, accepted = _midpoints(spheroid, u[:, 2:])
-        c, kept = _hypotenuses(spheroid, mid, theta, legs[:, 0], legs[:, 1])
-        failed = np.flatnonzero(~(accepted & kept))
-        done = int(failed[0]) if failed.size else n
-        triangles += [TriangleSample(a=a, b=b, c=h)
-                      for a, b, h in zip(legs[:done, 0].tolist(), legs[:done, 1].tolist(),
-                                         c[:done].tolist())]
-        if done < n:
-            stream.bit_generator.state = start
-            stream.random((done, 2 + _ATTEMPT_DRAWS))
-            triangles.append(_draw_triangle(spheroid, leg_range, stream))
-    return triangles
+    u = stream.random((count, 2 + _ATTEMPT_DRAWS))
+    legs = uniform_from(u[:, :2], *leg_range)
+    c = _retried_hypotenuses(spheroid, legs[:, 0], legs[:, 1], u[:, 2:], stream)
+    return [TriangleSample(a=a, b=b, c=h)
+            for a, b, h in zip(legs[:, 0].tolist(), legs[:, 1].tolist(), c.tolist())]
 
 
 @dataclass

@@ -135,14 +135,10 @@ def test_curvature_per_vertex(sphere_graph_prefix):
 def test_curvature_sample_count_error(sphere_graph_prefix):
     for samples in (0, -1):
         for mode in ((), ("--per-vertex",)):
-            proc = run_cli("curvature", "--graph", sphere_graph_prefix, "--samples", samples,
-                           "--seed", 11, *mode, check=False)
-            assert proc.returncode == 1, (samples, mode)
-            assert proc.stdout == ""
-            err = json.loads(proc.stderr)
-            validate(err, "error")
-            assert err["error"] == "ValueError", err
-            assert err["message"] == f"need {'samples_per_vertex' if mode else 'n_samples'} >= 1"
+            err = cli_error("curvature", "--graph", sphere_graph_prefix, "--samples", samples,
+                            "--seed", 11, *mode)
+            assert err["error"] == "InvalidInput", err
+            assert err["message"] == f"--samples must be at least 1, got {samples}"
 
 
 def test_wolfram_schema(sphere_graph_prefix):
@@ -204,21 +200,44 @@ def test_fractal_edge_scale():
     assert scaled["mean"] == pytest.approx(16 * base["mean"], rel=1e-12)
 
 
-def run_in_process(argv, schema):
-    """Run ``cli.main``: it either prints a report valid under ``schema`` or
-    exits 1 with error JSON on stderr.  A warning counts as an escaped
-    exception, since the CLI would print it on stderr."""
+def call_main(argv):
+    """Run ``cli.main`` on ``argv``: its exit code, stdout and stderr.  A
+    warning raises, since the CLI would print it on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_in_process(argv, schema):
+    """Run ``cli.main``: it either prints a report valid under ``schema`` or
+    exits 1 with error JSON on stderr.  A warning counts as an escaped
+    exception, since the CLI would print it on stderr."""
+    code, out, err = call_main(argv)
     if code == 0:
-        assert err.getvalue() == ""
-        validate(json.loads(out.getvalue()), schema)
+        assert err == ""
+        validate(json.loads(out), schema)
     else:
-        assert code == 1 and out.getvalue() == ""
-        validate(json.loads(err.getvalue()), "error")
+        assert code == 1 and out == ""
+        validate(json.loads(err), "error")
+
+
+def cli_error(*args, in_process=True):
+    """Run the CLI on ``args``, in process or as ``python -m curvgraph.cli``.
+    It must exit 1 with nothing on stdout and error JSON on stderr, which is
+    returned."""
+    if in_process:
+        code, out, err = call_main(list(map(str, args)))
+    else:
+        proc = run_cli(*args, check=False)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    assert code == 1, args
+    assert out == ""
+    err = json.loads(err)
+    validate(err, "error")
+    return err
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,6 +311,55 @@ def test_converge_cli_contract(manifold, counts, seeds_per, samples, true_k):
                     "--seed=1"], "sweep_report")
 
 
+@pytest.fixture(scope="module")
+def sprinkle_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("sprinkle") / "g"
+
+
+@settings(max_examples=80, deadline=None)
+@example(manifold=SPHERE, n="60", p="0.25", l=None)
+@example(manifold=HYPERBOLIC, n="60", p="1", l="0.5")
+@given(manifold=st.sampled_from([SPHERE, HYPERBOLIC, '{"type":"euclidean","radius":1.0}',
+                                 '{"type":"spheroid","equatorial_radius":1.0,'
+                                 '"polar_radius":0.9}']),
+       n=st.sampled_from(["-1", "0", "1", "2", "3", "30", "60"]),
+       p=st.sampled_from(["nan", "inf", "-0.5", "0", "1e-300", "0.25", "1", "1.5"]),
+       l=st.sampled_from([None, "nan", "inf", "-1", "0", "1e-300", "0.5", "100", "1e300"]))
+def test_sprinkle_cli_contract(sprinkle_out, manifold, n, p, l):
+    # hostile numbers for every flag on graphs of at most 60 vertices
+    argv = ["sprinkle", f"--manifold={manifold}", f"--n={n}", f"--p={p}",
+            f"--out={sprinkle_out}", "--seed=1"]
+    run_in_process(argv + ([] if l is None else [f"--l={l}"]), "sprinkle_summary")
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=st.sampled_from(["tiny", "missing", "garbled"]),
+       sources=st.sampled_from([None, "-3", "0", "1", "7", "60", "61", str(10**15)]))
+def test_distortion_cli_contract(tiny_graph_prefixes, graph, sources):
+    argv = ["distortion", f"--graph={tiny_graph_prefixes[graph]}", "--seed=1"]
+    run_in_process(argv + ([] if sources is None else [f"--sources={sources}"]),
+                   "distortion_report")
+
+
+@settings(max_examples=80, deadline=None)
+@example(graph="tiny", samples="5", smin=None, smax=None, max_length=None, per_vertex=True)
+@example(graph="tiny", samples="20", smin="2", smax="3", max_length="3", per_vertex=False)
+@given(graph=st.sampled_from(["tiny", "missing", "garbled"]),
+       samples=st.sampled_from(["-1", "0", "1", "5", "20"]),
+       smin=st.sampled_from([None, "-1", "1", "2", "3", str(10**15)]),
+       smax=st.sampled_from([None, "-1", "1", "2", "3", "7", str(10**15)]),
+       max_length=st.sampled_from([None, "nan", "inf", "-1", "0", "1e-300", "0.5", "3"]),
+       per_vertex=st.booleans())
+def test_curvature_cli_contract(tiny_graph_prefixes, graph, samples, smin, smax, max_length,
+                                per_vertex):
+    argv = ["curvature", f"--graph={tiny_graph_prefixes[graph]}", f"--samples={samples}",
+            "--seed=1"]
+    argv += [f"--{flag}={value}" for flag, value in
+             (("smin", smin), ("smax", smax), ("max-length", max_length)) if value is not None]
+    run_in_process(argv + ["--per-vertex"] * per_vertex,
+                   "vertex_curvature" if per_vertex else "curvature_report")
+
+
 def test_earth_schema_and_csv(tmp_path):
     proc = run_cli("earth", "--samples", 60, "--seed", 21, "--max-length", 6400,
                    "--out", tmp_path / "radii")
@@ -306,16 +374,14 @@ def test_earth_schema_and_csv(tmp_path):
 
 
 def test_error_exit_json(tmp_path):
-    proc = run_cli("distortion", "--graph", tmp_path / "nope", "--seed", 1, check=False)
-    assert proc.returncode == 1
-    err = json.loads(proc.stderr)
-    validate(err, "error")
+    # one ``python -m curvgraph.cli`` run per exit path (OSError, CurvGraphError
+    # and ValueError); every other case runs cli.main in process
+    err = cli_error("distortion", "--graph", tmp_path / "nope", "--seed", 1, in_process=False)
     assert err["error"] == "FileNotFoundError"
-    proc2 = run_cli("fractal", "--level", 13, "--exact", "--seed", 1, check=False)
-    assert proc2.returncode == 1
-    err2 = json.loads(proc2.stderr)
-    validate(err2, "error")
+    err2 = cli_error("fractal", "--level", 13, "--exact", "--seed", 1, in_process=False)
     assert err2["error"] == "LevelTooLarge"
+    err3 = cli_error("fractal", "--level", 2, "--samples", 0, "--seed", 1, in_process=False)
+    assert (err3["error"], err3["message"]) == ("ValueError", "need m >= 1")
     # malformed input from outside: manifold JSON, edge list and sidecar
     sidecar = {"manifold": {"type": "sphere2", "radius": 1.0}, "connection_length": 0.5,
                "tolerance": 0.25, "coordinates": [[1.0, 0.0, 0.0]] * 3}
@@ -344,10 +410,7 @@ def test_error_exit_json(tmp_path):
                  (*per_vertex, "--max-length", 1.0),
                  (*per_vertex, "--csv", tmp_path / "pv.csv"),
                  (*per_vertex, "--include-samples")]:
-        proc = run_cli(*args, check=False)
-        assert proc.returncode == 1, args
-        err = json.loads(proc.stderr)
-        validate(err, "error")
+        err = cli_error(*args)
         assert err["error"] == "InvalidInput", err
     # out-of-range values: a negative edge endpoint, a fractal sample count below 1,
     # an edge scale whose curvature factor leaves float range, and numbers on the
@@ -368,7 +431,6 @@ def test_error_exit_json(tmp_path):
     for args, error, message in [
         (("distortion", "--graph", tmp_path / "neg", "--seed", 1),
          "ValueError", "edge endpoint out of range"),
-        (("fractal", "--level", 2, "--samples", 0, "--seed", 1), "ValueError", "need m >= 1"),
         (("fractal", "--level", 2, "--samples", -5, "--seed", 1), "ValueError", "need m >= 1"),
         ((*fractal, "--edge-scale", 0), "ValueError", scale + "0.0"),
         ((*fractal, "--edge-scale", -1), "ValueError", scale + "-1.0"),
@@ -419,10 +481,24 @@ def test_error_exit_json(tmp_path):
          "--true-k must be finite, got nan"),
         ((*converge, *one_graph, "--true-k", 1, "--samples", 0), "InvalidInput",
          "--samples must be at least 1, got 0"),
+        # sprinkle and curvature numbers, checked before any work
+        ((*sprinkle, SPHERE, "--n", 1), "InvalidInput", "--n must be at least 2, got 1"),
+        ((*sprinkle, SPHERE, "--n", -3), "InvalidInput", "--n must be at least 2, got -3"),
+        ((*sprinkle, SPHERE, "--p", 0), "InvalidInput", "--p must be in (0, 1], got 0.0"),
+        ((*sprinkle, SPHERE, "--p", 1.5), "InvalidInput", "--p must be in (0, 1], got 1.5"),
+        ((*sprinkle, SPHERE, "--p", "nan"), "InvalidInput", "--p must be in (0, 1], got nan"),
+        ((*sprinkle, SPHERE, "--l", "inf"), "InvalidInput", "--l must be finite and > 0, got inf"),
+        ((*sprinkle, SPHERE, "--l", "nan"), "InvalidInput", "--l must be finite and > 0, got nan"),
+        ((*sprinkle, SPHERE, "--l", 0), "InvalidInput", "--l must be finite and > 0, got 0.0"),
+        ((*sprinkle, SPHERE, "--l", -1), "InvalidInput", "--l must be finite and > 0, got -1.0"),
+        (("curvature", "--graph", tmp_path / "nope", "--samples", 0, "--seed", 1),
+         "InvalidInput", "--samples must be at least 1, got 0"),
+        ((*curvature, "--smin", 1), "InvalidInput", "--smin must be at least 2, got 1"),
+        ((*curvature, "--smax", 1), "InvalidInput", "--smax must be at least 2, got 1"),
+        ((*curvature, "--smin", 0, "--per-vertex"), "InvalidInput",
+         "--smin must be at least 2, got 0"),
+        ((*curvature, "--smin", 5, "--smax", 3), "InvalidInput",
+         "--smin must not exceed --smax, got 5 > 3"),
     ]:
-        proc = run_cli(*args, check=False)
-        assert proc.returncode == 1, args
-        assert proc.stdout == ""
-        err = json.loads(proc.stderr)
-        validate(err, "error")
+        err = cli_error(*args)
         assert (err["error"], err["message"]) == (error, message)

@@ -23,6 +23,7 @@ from curvgraph.errors import (
     SpheroidNonConvergence,
     TooFewAccepted,
 )
+from curvgraph.manifolds import MIN_CANDIDATES
 
 
 def test_radius_from_curvature():
@@ -148,37 +149,61 @@ def test_ks_distance_of_exact_model_draws():
     assert ks_distance_to_expected(draws) < 0.03
 
 
-def _one_construction_at_a_time(spheroid, leg_range, rng):
-    """Reference sample: legs, then one construction per loop with one-point geodesic calls."""
-    leg_a, leg_b = rng.uniform(*leg_range), rng.uniform(*leg_range)
-    while True:
-        mid = spheroid.sample_point(rng)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        try:
-            v = spheroid.direct(mid, theta, leg_b)
-            w = spheroid.direct(mid, theta + math.pi, leg_b)
-            u = spheroid.direct(mid, theta + 0.5 * math.pi, leg_a)
-            c1, c2 = spheroid.distance(u, v), spheroid.distance(u, w)
-        except SpheroidNonConvergence:
-            continue
-        c = 0.5 * (c1 + c2)
-        if abs(c1 - c2) <= earth._ASYMMETRY_REL * c:
-            return leg_a, leg_b, c
+def _construction(spheroid, leg_a, leg_b, rng):
+    """One construction with one-point geodesic calls: its averaged hypotenuse, or None
+    when it is not kept."""
+    lat, lon, keep = spheroid.candidates(rng.random((3, MIN_CANDIDATES)))
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    if not keep.any():
+        return None
+    mid = (lat[keep][0], lon[keep][0])
+    try:
+        v = spheroid.direct(mid, theta, leg_b)
+        w = spheroid.direct(mid, theta + math.pi, leg_b)
+        u = spheroid.direct(mid, theta + 0.5 * math.pi, leg_a)
+        c1, c2 = spheroid.distance(u, v), spheroid.distance(u, w)
+    except SpheroidNonConvergence:
+        return None
+    c = 0.5 * (c1 + c2)
+    return c if abs(c1 - c2) <= earth._ASYMMETRY_REL * c else None
+
+
+def _rounds_over_pending(spheroid, leg_range, count, rng):
+    """Reference chunk: each sample's legs and first construction, then rounds in which
+    every pending sample, in sample order, tries one more construction.
+
+    Returns the triangles' sides and the number of retry rounds.
+    """
+    legs, hypotenuses = [], []
+    for _ in range(count):
+        legs.append((rng.uniform(*leg_range), rng.uniform(*leg_range)))
+        hypotenuses.append(_construction(spheroid, *legs[-1], rng))
+    rounds = 0
+    while None in hypotenuses:
+        rounds += 1
+        for i in [i for i, c in enumerate(hypotenuses) if c is None]:
+            hypotenuses[i] = _construction(spheroid, *legs[i], rng)
+    return [(a, b, c) for (a, b), c in zip(legs, hypotenuses)], rounds
 
 
 def _assert_draws_equal_reference(draw, spheroid, leg_range, count, seed):
-    """``draw`` gives the reference's triangles and generator state, bit for bit."""
+    """``draw`` gives the reference's triangles and generator state, bit for bit.
+
+    Returns the reference's number of retry rounds.
+    """
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = [t.sides() for t in draw(spheroid, leg_range, count, rng)]
-    assert got == [_one_construction_at_a_time(spheroid, leg_range, ref_rng) for _ in range(count)]
+    expected, rounds = _rounds_over_pending(spheroid, leg_range, count, ref_rng)
+    assert got == expected
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return rounds
 
 
 class _SparseSpheroid(Spheroid):
     """A spheroid that refuses most candidate points.
 
     About one round of 64 candidates in four then accepts none, so the
-    draw takes another round and the chunk path must replay.
+    sample must try another construction.
     """
 
     def candidates(self, u):
@@ -194,7 +219,7 @@ class _SparseSpheroid(Spheroid):
        lo=st.floats(1.0, 3000.0), width=st.floats(0.0, 1000.0))
 def test_triangle_chunk_equals_per_sample_draws(seed, count, spheroid, asymmetry, lo, width):
     # an asymmetry bound of 2e-5 rejects about one construction in seven,
-    # which sends those samples to be built on their own
+    # which leaves those samples pending for another round
     with mock.patch.object(earth, "_ASYMMETRY_REL", asymmetry):
         _assert_draws_equal_reference(earth._triangle_chunk, spheroid, (lo, lo + width), count,
                                       seed)
@@ -204,15 +229,22 @@ def test_triangle_chunk_equals_per_sample_draws(seed, count, spheroid, asymmetry
                                                        (Spheroid, "_MAX_ITER", 4, 10)])
 def test_rejected_constructions_redraw_as_the_reference(monkeypatch, owner, name, value, count):
     # a tight asymmetry bound rejects some constructions, and four iterations
-    # leave most geodesics unconverged: the chunk must replay, and a replayed
-    # sample tries several constructions in one array call
+    # leave most geodesics unconverged: the pending samples must be retried
     monkeypatch.setattr(owner, name, value)
-    replayed = []
-    one = earth._draw_triangle
-    monkeypatch.setattr(earth, "_draw_triangle", lambda *args: replayed.append(1) or one(*args))
-    _assert_draws_equal_reference(earth._triangle_chunk, earth_spheroid(), (500.0, 4000.0), count,
-                                  7)
-    assert replayed
+    assert _assert_draws_equal_reference(earth._triangle_chunk, earth_spheroid(),
+                                         (500.0, 4000.0), count, 7) > 0
+
+
+def test_sample_triangle_is_the_loop_on_one_sample(monkeypatch):
+    # with four iterations most constructions fail, so the one sample is retried
+    monkeypatch.setattr(Spheroid, "_MAX_ITER", 4)
+
+    def one_at_a_time(spheroid, leg_range, count, rng):
+        return [sample_spheroid_triangle(spheroid, rng.uniform(*leg_range),
+                                         rng.uniform(*leg_range), rng) for _ in range(count)]
+
+    assert sum(_assert_draws_equal_reference(one_at_a_time, earth_spheroid(), (500.0, 4000.0),
+                                             1, seed) for seed in range(3)) > 0
 
 
 @pytest.mark.parametrize("owner, name, value, message", [
