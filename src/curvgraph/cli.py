@@ -13,11 +13,11 @@ import math
 import sys
 
 from .converge import run_sweep, sweep_csv, sweep_report
-from .curvature import estimate_curvature, vertex_curvature, write_column_csv
+from .curvature import estimate_curvature, hop_window, vertex_curvature, write_column_csv
 from .distortion import default_sources, distortion_report
 from .earth import DEFAULT_LEG_RANGE_KM, EARTH_EQUATORIAL_KM, EARTH_POLAR_KM
 from .earth import estimate_earth_radius
-from .errors import CurvGraphError, InvalidInput
+from .errors import CurvGraphError, Disconnected, InvalidInput
 from .fractal import (
     enumerate_fractal_triangle_counts,
     fractal_curvature_stats,
@@ -25,7 +25,7 @@ from .fractal import (
     sierpinski_graph,
     solve_shapes,
 )
-from .graphs import load_geometric_graph, save_geometric_graph
+from .graphs import is_connected, load_geometric_graph, save_geometric_graph
 from .manifolds import Spheroid, manifold_from_json
 from .rng import substream
 from .sprinkle import sprinkle
@@ -89,6 +89,10 @@ def _cmd_sprinkle(args):
     manifold = _parse_manifold(args.manifold)
     rng = substream(args.seed, _TAG["sprinkle"])
     gg = sprinkle(manifold, args.n, args.p, rng=rng, l_override=args.l)
+    if args.l is not None and not is_connected(gg.graph):
+        held = "leaves the graph disconnected" if gg.graph.edge_count else "holds no pair of points"
+        raise Disconnected(f"--l {args.l}: the annulus [l(1-p), l(1+p)] = "
+                           f"[{args.l * (1 - args.p):.6g}, {args.l * (1 + args.p):.6g}] {held}")
     distortion_report(gg, rng=substream(args.seed, _TAG["sprinkle"], 1))
     save_geometric_graph(gg, args.out)
     _emit({
@@ -126,9 +130,14 @@ def _cmd_curvature(args):
             raise InvalidInput(f"--per-vertex does not take {', '.join(unused)}")
     gg = _load_graph(args.graph, args.seed)
     rng = substream(args.seed, _TAG["curvature"])
+    # an end not given comes from the graph, drawn as the estimators would draw it
+    s_min, s_max = hop_window(gg.graph, rng, args.smin, args.smax)
+    if s_min > s_max:
+        raise InvalidInput(f"--smin and --smax leave the empty hop window (s_min, s_max) = "
+                           f"({s_min}, {s_max}); an end not given is this graph's default")
     l_e = gg.effective_edge_length
     if args.per_vertex:
-        per_vertex = vertex_curvature(gg.graph, l_e, args.samples, args.smin, args.smax, rng)
+        per_vertex = vertex_curvature(gg.graph, l_e, args.samples, s_min, s_max, rng)
         _emit({
             "estimator": "sectional-vertex",
             "effectiveEdgeLength": l_e,
@@ -136,7 +145,7 @@ def _cmd_curvature(args):
         })
         return
     rep = estimate_curvature(
-        gg.graph, l_e, args.samples, s_min_hops=args.smin, s_max_hops=args.smax,
+        gg.graph, l_e, args.samples, s_min_hops=s_min, s_max_hops=s_max,
         rng=rng, max_length_scale=args.max_length,
     )
     if args.csv:

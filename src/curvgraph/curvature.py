@@ -331,7 +331,7 @@ def solve_triangles(draw, streams, max_length_scale=None):
     return ks, rejected
 
 
-def _hop_window(g, rng, s_min_hops, s_max_hops):
+def hop_window(g, rng, s_min_hops, s_max_hops):
     """The hop window with each missing end taken from default_hop_window."""
     if s_min_hops is None or s_max_hops is None:
         d_min, d_max = default_hop_window(g, rng)
@@ -356,7 +356,7 @@ def estimate_curvature(g, l_e, n_samples, s_min_hops=None, s_max_hops=None,
         raise ValueError("an explicit rng is required for reproducibility")
     if not is_connected(g):
         raise Disconnected("curvature estimation requires a connected graph")
-    s_min_hops, s_max_hops = _hop_window(g, rng, s_min_hops, s_max_hops)
+    s_min_hops, s_max_hops = hop_window(g, rng, s_min_hops, s_max_hops)
     ks, rejected = solve_triangles(each_sample(partial(sample_triangle, g, l_e, s_min_hops,
                                                        s_max_hops)),
                                    chunk_streams(n_samples, rng), max_length_scale)
@@ -375,7 +375,7 @@ def vertex_curvature(g, l_e, samples_per_vertex, s_min_hops=None, s_max_hops=Non
         raise ValueError("need samples_per_vertex >= 1")
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
-    s_min_hops, s_max_hops = _hop_window(g, rng, s_min_hops, s_max_hops)
+    s_min_hops, s_max_hops = hop_window(g, rng, s_min_hops, s_max_hops)
     n = g.vertex_count
     out = np.full(n, np.nan)
     for v, stream in enumerate(rng.spawn(n)):

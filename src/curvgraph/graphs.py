@@ -155,13 +155,9 @@ def diameter_estimate(g, rng):
 def save_edge_list(g, path):
     """Write the text edge-list format: "V E" then one "u v" line per edge."""
     us, vs = g.edge_arrays()
-    digits = f"U{len(str(max(g.vertex_count - 1, 0)))}"
-    lines = np.char.add(np.char.add(us.astype(digits), " "), vs.astype(digits))
     with open(path, "w") as fh:
         fh.write(f"{g.vertex_count} {g.edge_count}\n")
-        if lines.size:
-            fh.write("\n".join(lines.tolist()))
-            fh.write("\n")
+        fh.write(("%d %d\n" * g.edge_count) % tuple(np.column_stack([us, vs]).ravel().tolist()))
 
 
 def load_edge_list(path):

@@ -9,7 +9,7 @@ property on the exact distances.
 
 No pairwise distance matrix is formed: the search and the builder read one
 :class:`CandidatePairs` table, the pairs within the longest length probed,
-sorted by distance, so each probe touches only its annulus window.
+sorted by distance, so each probe's edges are one slice of it.
 """
 
 import numpy as np
@@ -53,6 +53,10 @@ class CandidatePairs:
     so that their temporaries stay small.  ``d`` holds them in ascending order
     with ``i``, ``j`` alongside, and ``d32`` is their float32 rounding.
     The query widens only when a probe asks for a longer length.
+
+    A connectivity probe first looks for a vertex without an edge, which
+    settles most disconnected lengths, and its answer is kept per slice
+    until the table widens: the bisection's last steps revisit slices.
     """
 
     def __init__(self, manifold, points):
@@ -64,6 +68,7 @@ class CandidatePairs:
         self.i = self.j = np.empty(0, dtype=np.intp)
         self.d = np.empty(0, dtype=np.float64)
         self.d32 = self.d.astype(np.float32)
+        self._probed = {}  # (a, b) -> connectivity of the slice's edges
 
     def _cover(self, length):
         """Hold every pair with distance at most ``length``."""
@@ -81,21 +86,45 @@ class CandidatePairs:
         self.i, self.j, self.d = ij[keep, 0], ij[keep, 1], d[keep]
         self.d32 = self.d.astype(np.float32)
         self.reach = length
+        self._probed.clear()  # slice bounds index the old table
 
-    def edges(self, l, p, exact=True):
-        """Pairs (u, v) with |d - l| <= l * p, in float64 or on the float32 copy."""
+    def _window(self, l, p, exact):
+        """The slice [a, b) of the table holding the pairs with |d - l| <= l * p.
+
+        Rounding is monotone, so ``d - l`` is nondecreasing along the sorted
+        table and the pairs that pass form one run, in float64 and on the
+        float32 copy alike; the padded search only bounds where it can lie.
+        """
         pad = _PAD_REL * l
         hi = l * (1.0 + p) + pad
         self._cover(hi)
         a = np.searchsorted(self.d, l * (1.0 - p) - pad, side="left")
         b = np.searchsorted(self.d, hi, side="right")
         d = self.d[a:b] if exact else self.d32[a:b]
-        hit = np.abs(d - l) <= l * p
-        return self.i[a:b][hit], self.j[a:b][hit]
+        hit = np.flatnonzero(np.abs(d - l) <= l * p)
+        return (a + hit[0], a + hit[-1] + 1) if hit.size else (a, a)
+
+    def edges(self, l, p, exact=True):
+        """Pairs (u, v) with |d - l| <= l * p, in float64 or on the float32 copy.
+
+        The arrays are views of the table, ordered by distance.
+        """
+        a, b = self._window(l, p, exact)
+        return self.i[a:b], self.j[a:b]
 
     def connected(self, l, p, exact=True):
         """Connectivity of the annulus graph at length l."""
-        u, v = self.edges(l, p, exact)
+        window = self._window(l, p, exact)
+        if window not in self._probed:
+            self._probed[window] = self._slice_connected(*window)
+        return self._probed[window]
+
+    def _slice_connected(self, a, b):
+        u, v = self.i[a:b], self.j[a:b]
+        # with two or more vertices, one that has no edge disconnects the graph
+        if self.n >= 2 and not np.all(np.bincount(u, minlength=self.n)
+                                      + np.bincount(v, minlength=self.n)):
+            return False
         adj = coo_matrix((np.ones(u.size, dtype=np.int8), (u, v)), shape=(self.n, self.n))
         return connected_components(adj, directed=False, return_labels=False) == 1
 

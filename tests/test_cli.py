@@ -398,6 +398,8 @@ def test_error_exit_json(tmp_path):
         {**sidecar, "coordinates": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]}))
     (tmp_path / "neg.edges").write_text("3 1\n0 -1\n")
     (tmp_path / "neg.json").write_text((tmp_path / "ok.json").read_text())
+    (tmp_path / "tri.edges").write_text("3 3\n0 1\n0 2\n1 2\n")
+    (tmp_path / "tri.json").write_text((tmp_path / "ok.json").read_text())
     sprinkle = ("sprinkle", "--n", 10, "--seed", 1, "--out", tmp_path / "x", "--manifold")
     # flags that --per-vertex has no use for
     per_vertex = ("curvature", "--graph", tmp_path / "ok", "--per-vertex", "--samples", 2,
@@ -428,6 +430,8 @@ def test_error_exit_json(tmp_path):
     one_graph = ("--counts", 200, "--seeds-per", 1)
     counts = "--counts must be a non-empty comma-separated list of integers >= 2, got "
     square = "radius must have a finite normal square, got "
+    hop_window = "--smin and --smax leave the empty hop window (s_min, s_max) = "
+    default = "; an end not given is this graph's default"
     for args, error, message in [
         (("distortion", "--graph", tmp_path / "neg", "--seed", 1),
          "ValueError", "edge endpoint out of range"),
@@ -491,6 +495,11 @@ def test_error_exit_json(tmp_path):
         ((*sprinkle, SPHERE, "--l", "nan"), "InvalidInput", "--l must be finite and > 0, got nan"),
         ((*sprinkle, SPHERE, "--l", 0), "InvalidInput", "--l must be finite and > 0, got 0.0"),
         ((*sprinkle, SPHERE, "--l", -1), "InvalidInput", "--l must be finite and > 0, got -1.0"),
+        # a given length whose annulus cannot connect the points
+        ((*sprinkle, SPHERE, "--l", 100), "Disconnected",
+         "--l 100.0: the annulus [l(1-p), l(1+p)] = [75, 125] holds no pair of points"),
+        ((*sprinkle, SPHERE, "--l", 0.5), "Disconnected",
+         "--l 0.5: the annulus [l(1-p), l(1+p)] = [0.375, 0.625] leaves the graph disconnected"),
         (("curvature", "--graph", tmp_path / "nope", "--samples", 0, "--seed", 1),
          "InvalidInput", "--samples must be at least 1, got 0"),
         ((*curvature, "--smin", 1), "InvalidInput", "--smin must be at least 2, got 1"),
@@ -499,6 +508,14 @@ def test_error_exit_json(tmp_path):
          "--smin must be at least 2, got 0"),
         ((*curvature, "--smin", 5, "--smax", 3), "InvalidInput",
          "--smin must not exceed --smax, got 5 > 3"),
+        # an empty hop window, known only once the graph is read: --smin above the
+        # default upper end, or no flag on a graph of hop diameter 1
+        ((*curvature, "--smin", 10**15), "InvalidInput",
+         hop_window + "(1000000000000000, 2)" + default),
+        ((*curvature, "--smin", 3, "--per-vertex"), "InvalidInput",
+         hop_window + "(3, 2)" + default),
+        (("curvature", "--graph", tmp_path / "tri", "--samples", 2, "--seed", 1), "InvalidInput",
+         hop_window + "(2, 1)" + default),
     ]:
         err = cli_error(*args)
         assert (err["error"], err["message"]) == (error, message)

@@ -253,5 +253,15 @@ def test_sample_triangle_is_the_loop_on_one_sample(monkeypatch):
 ])
 def test_sample_triangle_stalls(monkeypatch, owner, name, value, message):
     monkeypatch.setattr(owner, name, value)
+    built = []  # sizes of the construction batches, each rejected
+    hypotenuses = earth._hypotenuses
+
+    def counted(spheroid, mid, theta, leg_a, leg_b):
+        built.append(len(mid))
+        return hypotenuses(spheroid, mid, theta, leg_a, leg_b)
+
+    monkeypatch.setattr(earth, "_hypotenuses", counted)
     with pytest.raises(SamplingStalled, match=message):
         sample_spheroid_triangle(earth_spheroid(), 900.0, 700.0, np.random.default_rng(3))
+    # the stall comes on the _STALL_LIMIT-th rejection of the one sample
+    assert built == [1] * earth._STALL_LIMIT

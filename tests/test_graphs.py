@@ -197,3 +197,17 @@ def test_edge_list_round_trip(tmp_path, g):
     again = tmp_path / "again.edges"
     save_edge_list(g2, again)
     assert again.read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize("g, text", [
+    (Graph(1, [], []), "1 0\n"),
+    (Graph(12, [], []), "12 0\n"),
+    (Graph(12, [0, 3, 10], [11, 4, 11]), "12 3\n0 11\n3 4\n10 11\n"),
+    (Graph(1005, [100, 7, 999, 1004], [9, 1004, 100, 0]),
+     "1005 4\n0 1004\n7 1004\n9 100\n100 999\n"),
+])
+def test_edge_list_bytes(tmp_path, g, text):
+    # "V E", then "u v" per edge with u < v, ordered by u then v, each line ending in \n
+    p = tmp_path / "g.edges"
+    save_edge_list(g, p)
+    assert p.read_bytes() == text.encode()

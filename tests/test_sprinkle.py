@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from curvgraph import (
@@ -324,3 +324,42 @@ def test_min_connection_length_matches_dense_search(case, p):
         assert l.hex() == expected.hex()
     assert brute_force_connected(D64, l, p)
     assert not brute_force_connected(D64, l * (1.0 - 1e-3), p)
+
+
+def _probe_oracle(D, l, p):
+    """Edge set and connectivity of the annulus rule on one precision's matrix."""
+    iu, ju = np.triu_indices(len(D), 1)
+    rule = np.abs(D[iu, ju] - l) <= l * p
+    return set(zip(iu[rule].tolist(), ju[rule].tolist())), brute_force_connected(D, l, p)
+
+
+@PROPERTY_SETTINGS
+@given(case=point_sets(), first=st.floats(1e-3, 0.4), others=st.lists(st.floats(1e-3, 1.0),
+       max_size=4), p=st.floats(1e-3, 1.0), pick=st.integers(0, 2**16))
+@example(case=(EuclideanDisk(1.0), np.array([[0.2, 0.1]])), first=0.3, others=[], p=0.5, pick=0)
+@example(case=(Sphere2(1.0), np.array([[0.0, 0.0, 1.0], [0.0, 0.6, 0.8]])), first=0.2,
+         others=[0.05], p=0.25, pick=0)
+@example(case=(EuclideanDisk(1.0), np.array([[0.3, 0.1]] * 3 + [[0.5, 0.1]])), first=0.05,
+         others=[], p=1.0, pick=4)
+def test_probes_match_brute_force(case, first, others, p, pick):
+    # The first length is probed again before and after the diameter widens the
+    # table; two lengths put a pair's distance on the annulus's edges, where
+    # rounding decides and the padded search holds pairs that fail the rule.
+    m, pts = case
+    D64 = exact_distances(m, pts)
+    if D64 is None:
+        return
+    D32 = D64.astype(np.float32)
+    diam = m.diameter()
+    lengths = [first * diam, first * diam, *(x * diam for x in others)]
+    if len(pts) > 1:
+        iu, ju = np.triu_indices(len(pts), 1)
+        d = D64[iu, ju][pick % iu.size]
+        lengths += [d / (1.0 + p), d / (1.0 - p)] if 0.0 < d and p < 1.0 else []
+    pairs = CandidatePairs(m, pts)
+    for l in [*lengths, diam, first * diam]:
+        for exact, D in ((False, D32), (True, D64)):
+            edges, connected = _probe_oracle(D, l, p)
+            u, v = pairs.edges(l, p, exact)
+            assert u.size == len(edges) and set(zip(u.tolist(), v.tolist())) == edges
+            assert pairs.connected(l, p, exact) == connected
