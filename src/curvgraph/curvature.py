@@ -263,16 +263,19 @@ def _triangle(g, l_e, s_min_hops, s_max_hops, rng, apex_row=None):
             continue
         v = int(v_cand[rng.integers(v_cand.size)])
         dv = bfs_hops(g, v)
-        w_mask = (du == du[v]) & (dv % 2 == 0) & (dv >= 2 * s_min_hops)
-        w_mask[v] = False
-        w_cand = np.nonzero(w_mask)[0]
+        # w comes from the hop ring of radius du[v] around u, m from the ring
+        # of radius half around v: filtering a ring keeps the ascending order
+        # a full-length mask gives, so the same vertices are drawn
+        ring = np.flatnonzero(du == du[v])
+        base = dv[ring]
+        w_cand = ring[(base % 2 == 0) & (base >= 2 * s_min_hops) & (ring != v)]
         if w_cand.size == 0:
             continue
         w = int(w_cand[rng.integers(w_cand.size)])
         dw = bfs_hops(g, w)
         half = int(dv[w]) // 2
-        m_cand = np.nonzero((dv == half) & (dw == half))[0]
-        m_cand = m_cand[du[m_cand] >= s_min_hops]
+        m_cand = np.flatnonzero(dv == half)
+        m_cand = m_cand[(dw[m_cand] == half) & (du[m_cand] >= s_min_hops)]
         if m_cand.size == 0:
             continue
         mid = int(m_cand[rng.integers(m_cand.size)])
@@ -369,12 +372,15 @@ def vertex_curvature(g, l_e, samples_per_vertex, s_min_hops=None, s_max_hops=Non
 
     The hop window is resolved as in :func:`estimate_curvature`, before
     one sub-stream per vertex is spawned from ``rng``.  Returns an array
-    with NaN for vertices with no accepted sample.
+    with NaN for vertices with no accepted sample; a disconnected graph
+    raises Disconnected, as it does for :func:`estimate_curvature`.
     """
     if samples_per_vertex < 1:
         raise ValueError("need samples_per_vertex >= 1")
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
+    if not is_connected(g):
+        raise Disconnected("per-vertex curvature requires a connected graph")
     s_min_hops, s_max_hops = hop_window(g, rng, s_min_hops, s_max_hops)
     n = g.vertex_count
     out = np.full(n, np.nan)

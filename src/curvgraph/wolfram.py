@@ -94,9 +94,13 @@ def estimate_wolfram(g, l_e, n_vertices, rng):
     """Curvature report from ball-volume fits at sampled center vertices."""
     if n_vertices < 1:
         raise ValueError(f"need n_vertices >= 1, got {n_vertices}")
+    n = g.vertex_count
+    # no hop count reaches V, so a radius past it would only ask for empty shells
+    if not (0 < l_e < math.inf and 1.5 / l_e <= n):
+        raise ValueError(f"l_e must be finite and > 0 with ceil(1.5 / l_e) at most the "
+                         f"vertex count {n}, got l_e = {l_e!r}")
     if not is_connected(g):
         raise Disconnected("ball-volume estimation requires a connected graph")
-    n = g.vertex_count
     # headroom past the unit-curvature cap so the re-fit can widen
     r_max_hops = max(3, math.ceil(1.5 / l_e))
     centers = rng.choice(n, size=min(n_vertices, n), replace=False)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -271,19 +272,31 @@ def test_earth_cli_contract(samples, max_length, legs, axes):
     run_in_process(argv, "earth_summary")
 
 
+# stored effective edge lengths of the tiny graph that a sidecar may not hold,
+# or that ask the ball fits for hop radii past the vertex count
+EDGE_LENGTHS = {"zero_le": 0, "negative_le": -0.07, "tiny_le": 1e-300, "short_le": 0.02}
+
+
 @pytest.fixture(scope="module")
 def tiny_graph_prefixes(tmp_path_factory):
-    """A stored 60-vertex sphere graph, a missing one and one with a garbled sidecar."""
+    """A stored 60-vertex sphere graph, a missing one, one with a garbled sidecar
+    and copies of the first whose sidecars hold the EDGE_LENGTHS."""
     d = tmp_path_factory.mktemp("tiny")
     run_cli("sprinkle", "--manifold", '{"type":"sphere2","radius":1.0}', "--n", 60,
             "--seed", 5, "--out", d / "g")
     (d / "garbled.edges").write_text((d / "g.edges").read_text())
     (d / "garbled.json").write_text("{not json")
-    return {"tiny": d / "g", "missing": d / "missing", "garbled": d / "garbled"}
+    prefixes = {"tiny": d / "g", "missing": d / "missing", "garbled": d / "garbled"}
+    sidecar = json.loads((d / "g.json").read_text())
+    for name, l_e in EDGE_LENGTHS.items():
+        (d / f"{name}.edges").write_text((d / "g.edges").read_text())
+        (d / f"{name}.json").write_text(json.dumps({**sidecar, "effective_edge_length": l_e}))
+        prefixes[name] = d / name
+    return prefixes
 
 
 @settings(max_examples=40, deadline=None)
-@given(graph=st.sampled_from(["tiny", "missing", "garbled"]),
+@given(graph=st.sampled_from(["tiny", "missing", "garbled", *EDGE_LENGTHS]),
        vertices=st.sampled_from(["-5", "0", "1", "7", str(10**15)]))
 def test_wolfram_cli_contract(tiny_graph_prefixes, graph, vertices):
     run_in_process(["wolfram", f"--graph={tiny_graph_prefixes[graph]}",
@@ -400,6 +413,14 @@ def test_error_exit_json(tmp_path):
     (tmp_path / "neg.json").write_text((tmp_path / "ok.json").read_text())
     (tmp_path / "tri.edges").write_text("3 3\n0 1\n0 2\n1 2\n")
     (tmp_path / "tri.json").write_text((tmp_path / "ok.json").read_text())
+    # two disjoint 4 x 4 grids
+    grid = [(r * 4 + c, r * 4 + c + step) for r in range(4) for c in range(4)
+            for step, fits in ((1, c < 3), (4, r < 3)) if fits]
+    edges = grid + [(u + 16, v + 16) for u, v in grid]
+    (tmp_path / "grids.edges").write_text(f"32 {len(edges)}\n"
+                                          + "".join(f"{u} {v}\n" for u, v in edges))
+    (tmp_path / "grids.json").write_text(json.dumps(
+        {**sidecar, "effective_edge_length": 0.1, "coordinates": [[1.0, 0, 0]] * 32}))
     sprinkle = ("sprinkle", "--n", 10, "--seed", 1, "--out", tmp_path / "x", "--manifold")
     # flags that --per-vertex has no use for
     per_vertex = ("curvature", "--graph", tmp_path / "ok", "--per-vertex", "--samples", 2,
@@ -516,6 +537,35 @@ def test_error_exit_json(tmp_path):
          hop_window + "(3, 2)" + default),
         (("curvature", "--graph", tmp_path / "tri", "--samples", 2, "--seed", 1), "InvalidInput",
          hop_window + "(2, 1)" + default),
+        # a disconnected graph, with and without --per-vertex
+        (("curvature", "--graph", tmp_path / "grids", "--samples", 2, "--smin", 2, "--smax", 6,
+          "--per-vertex", "--seed", 1), "Disconnected",
+         "per-vertex curvature requires a connected graph"),
+        (("curvature", "--graph", tmp_path / "grids", "--samples", 2, "--smin", 2, "--smax", 6,
+          "--seed", 1), "Disconnected", "curvature estimation requires a connected graph"),
     ]:
         err = cli_error(*args)
         assert (err["error"], err["message"]) == (error, message)
+    # sidecar numbers: lengths finite and > 0, a tolerance in (0, 1], and an effective
+    # edge length whose ball radii ceil(1.5 / l_e) stay within the V = 3 vertices
+    length = "{}.json: {} must be finite and > 0, got {!r}"
+    interval = "{}.json: {} must be in (0, 1], got {!r}"
+    radii = ("l_e must be finite and > 0 with ceil(1.5 / l_e) at most the vertex count 3, "
+             "got l_e = ")
+    for k, (key, value, error, message) in enumerate([
+        ("connection_length", 0, "InvalidInput", length),
+        ("connection_length", math.nan, "InvalidInput", length),
+        ("connection_length", math.inf, "InvalidInput", length),
+        ("tolerance", 0, "InvalidInput", interval),
+        ("tolerance", 1.5, "InvalidInput", interval),
+        ("effective_edge_length", 0, "InvalidInput", length),
+        ("effective_edge_length", -0.07, "InvalidInput", length),
+        ("effective_edge_length", -math.inf, "InvalidInput", length),
+        ("effective_edge_length", 1e-300, "ValueError", radii + "1e-300"),
+        ("effective_edge_length", 0.4, "ValueError", radii + "0.4"),
+    ]):
+        prefix = tmp_path / f"number{k}"
+        (tmp_path / f"number{k}.edges").write_text((tmp_path / "ok.edges").read_text())
+        (tmp_path / f"number{k}.json").write_text(json.dumps({**sidecar, key: value}))
+        err = cli_error(*wolfram, 1, "--graph", prefix)
+        assert (err["error"], err["message"]) == (error, message.format(prefix, key, value))

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from curvgraph import (
     sprinkle,
     vertex_curvature,
 )
-from curvgraph.curvature import CurvatureReport
+from curvgraph.curvature import _RETRIES, CurvatureReport, TriangleSample
 from curvgraph.errors import (
     NoCandidate,
     TooFewAccepted,
@@ -256,6 +258,77 @@ def test_sample_triangle_grid_center():
         assert du[tri.midpoint] == a_h
         assert (tri.a, tri.b, tri.c) == (a_h * 1.0, b_h * 1.0, c_h * 1.0)
     assert found > 0
+
+
+def full_mask_triangle(g, l_e, s_min_hops, s_max_hops, rng, apex_row=None):
+    """The triangle search with full-length candidate masks: the reference for
+    the hop-ring filters of curvature._triangle."""
+    c_min = math.ceil(math.sqrt(2.0) * s_min_hops)
+    n = g.vertex_count
+    for _ in range(_RETRIES):
+        if apex_row is None:
+            u = int(rng.integers(n))
+            du = bfs_hops(g, u)
+        else:
+            u, du = apex_row
+        v_cand = np.nonzero((du >= c_min) & (du <= s_max_hops))[0]
+        if v_cand.size == 0:
+            if apex_row is not None:
+                break
+            continue
+        v = int(v_cand[rng.integers(v_cand.size)])
+        dv = bfs_hops(g, v)
+        w_mask = (du == du[v]) & (dv % 2 == 0) & (dv >= 2 * s_min_hops)
+        w_mask[v] = False
+        w_cand = np.nonzero(w_mask)[0]
+        if w_cand.size == 0:
+            continue
+        w = int(w_cand[rng.integers(w_cand.size)])
+        dw = bfs_hops(g, w)
+        half = int(dv[w]) // 2
+        m_cand = np.nonzero((dv == half) & (dw == half))[0]
+        m_cand = m_cand[du[m_cand] >= s_min_hops]
+        if m_cand.size == 0:
+            continue
+        mid = int(m_cand[rng.integers(m_cand.size)])
+        a_h, b_h, c_h = int(du[mid]), half, int(du[v])
+        return TriangleSample(
+            a=a_h * l_e, b=b_h * l_e, c=c_h * l_e,
+            apex=u, base_end1=v, base_end2=w, midpoint=mid,
+            hops=(a_h, b_h, c_h),
+        )
+    raise NoCandidate(f"no valid triangle after {_RETRIES} retries")
+
+
+def _outcome(draw, rng):
+    try:
+        result = draw(rng)
+    except NoCandidate:
+        result = NoCandidate
+    return result, rng.bit_generator.state
+
+
+def test_sample_triangle_matches_full_masks():
+    # the same draws, the same triangle or NoCandidate and the same final
+    # generator state, for random and fixed apexes on graphs with and without
+    # valid triangles
+    sphere = sprinkle(Sphere2(1.0), 300, 0.25, rng=np.random.default_rng(72)).graph
+    cases = [(sphere, 2, 8), (sphere, 3, 8), (sphere, 4, 6), (sphere, 2, 3),
+             (grid_graph(7, 7), 2, 4), (grid_graph(7, 7), 3, 6), (cycle(12), 2, 2),
+             (cycle(40), 2, 20)]
+    outcomes = Counter()
+    for case, (g, s_min, s_max) in enumerate(cases):
+        for seed in range(12):
+            for apex in (None, seed % g.vertex_count):
+                apex_row = None if apex is None else (apex, bfs_hops(g, apex))
+                got = _outcome(partial(sample_triangle, g, 0.1, s_min, s_max, apex=apex),
+                               np.random.default_rng([case, seed]))
+                want = _outcome(partial(full_mask_triangle, g, 0.1, s_min, s_max,
+                                        apex_row=apex_row),
+                                np.random.default_rng([case, seed]))
+                assert got == want, (case, seed, apex)
+                outcomes[got[0] is NoCandidate] += 1
+    assert outcomes[True] > 20 and outcomes[False] > 100
 
 
 def test_sample_triangle_deterministic():

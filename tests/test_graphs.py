@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from curvgraph import (
     Graph,
@@ -174,6 +176,32 @@ def test_hops_match_python_bfs(graph):
         assert row.dtype == np.uint32
         assert row.tolist() == expect
         assert all_pairs[s].tolist() == expect
+
+
+@pytest.mark.parametrize("seed, n", [(0, 200), (1, 700), (2, 2000)])
+def test_hops_match_python_bfs_geometric(seed, n):
+    # random geometric graphs near the percolation radius: a long-winded giant
+    # component with many levels, many small components and isolated vertices,
+    # whose labels are shuffled so that components interleave in vertex order
+    rng = np.random.default_rng(seed)
+    placed = n - 5  # the last five vertices get no edges
+    pairs = cKDTree(rng.random((placed, 2))).query_pairs(1.3 / np.sqrt(placed),
+                                                         output_type="ndarray")
+    label = rng.permutation(n)
+    edges = [tuple(e) for e in label[pairs].tolist()]
+    g = from_edges(n, edges)
+    count, component = connected_components(g.adjacency)
+    assert count >= 10 and np.count_nonzero(g.degrees() == 0) >= 5
+    sizes = np.bincount(component)
+    largest = np.flatnonzero(component == np.argmax(sizes))
+    sources = np.concatenate([
+        rng.choice(largest, size=8, replace=False),  # deep rows
+        [np.flatnonzero(component == c)[0] for c in np.argsort(sizes)[-6:-1]],
+        label[placed:placed + 2],  # isolated
+    ])
+    for s in sources.tolist():
+        expect = [UNREACHABLE if h is None else h for h in python_bfs(n, edges, s)]
+        assert bfs_hops(g, s).tolist() == expect
 
 
 @settings(max_examples=60, deadline=None,
