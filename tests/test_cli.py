@@ -386,7 +386,7 @@ def test_earth_schema_and_csv(tmp_path):
     assert "ksDistanceToExpectedPdf" not in no_max
 
 
-def test_error_exit_json(tmp_path):
+def test_error_exit_json(tmp_path, tiny_graph_prefixes):
     # one ``python -m curvgraph.cli`` run per exit path (OSError, CurvGraphError
     # and ValueError); every other case runs cli.main in process
     err = cli_error("distortion", "--graph", tmp_path / "nope", "--seed", 1, in_process=False)
@@ -453,6 +453,14 @@ def test_error_exit_json(tmp_path):
     square = "radius must have a finite normal square, got "
     hop_window = "--smin and --smax leave the empty hop window (s_min, s_max) = "
     default = "; an end not given is this graph's default"
+    # stored edge lengths so small that the curvature, of order 1 / l_e^2, is no float:
+    # every solved triangle is rejected as root_not_found, none is reported flat
+    tiny = tiny_graph_prefixes["tiny"]
+    (tmp_path / "le320.edges").write_text(tiny.with_suffix(".edges").read_text())
+    (tmp_path / "le320.json").write_text(json.dumps(
+        {**json.loads(tiny.with_suffix(".json").read_text()), "effective_edge_length": 1e-320}))
+    no_float = ("0 of 20 samples accepted, below the minimum of 10 for a meaningful report "
+                "(rejections: {'root_not_found': 19, 'triangle_inequality': 1})")
     for args, error, message in [
         (("distortion", "--graph", tmp_path / "neg", "--seed", 1),
          "ValueError", "edge endpoint out of range"),
@@ -543,6 +551,10 @@ def test_error_exit_json(tmp_path):
          "per-vertex curvature requires a connected graph"),
         (("curvature", "--graph", tmp_path / "grids", "--samples", 2, "--smin", 2, "--smax", 6,
           "--seed", 1), "Disconnected", "curvature estimation requires a connected graph"),
+        (("curvature", "--graph", tiny_graph_prefixes["tiny_le"], "--samples", 20, "--seed", 1),
+         "TooFewAccepted", no_float),
+        (("curvature", "--graph", tmp_path / "le320", "--samples", 20, "--seed", 1),
+         "TooFewAccepted", no_float),
     ]:
         err = cli_error(*args)
         assert (err["error"], err["message"]) == (error, message)

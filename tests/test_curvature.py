@@ -23,6 +23,7 @@ from curvgraph import (
 from curvgraph.curvature import _RETRIES, CurvatureReport, TriangleSample
 from curvgraph.errors import (
     NoCandidate,
+    RootNotFound,
     TooFewAccepted,
     TriangleInequalityViolated,
 )
@@ -159,6 +160,58 @@ def test_scaling_covariance():
         for lam in (0.5, 2.0, 10.0):
             scaled = curvature_from_triangle(lam * a, lam * b, lam * c)
             assert scaled == pytest.approx(k / lam**2, rel=1e-8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.01, 3.0), b=st.floats(0.01, 3.0), k=st.sampled_from([1.0, -1.0]),
+       decades=st.floats(-150.0, 150.0))
+def test_scale_covariance_extreme_lengths(a, b, k, decades):
+    # K(lam a, lam b, lam c) = K(a, b, c) / lam^2 at length scales lam from 1e-150
+    # to 1e150, and the scaled root gives back the scaled hypotenuse
+    c = forward_hypotenuse(a, b, k)
+    base = curvature_from_triangle(a, b, c)
+    lam = 10.0 ** decades
+    got = curvature_from_triangle(lam * a, lam * b, lam * c)
+    assert got == pytest.approx(base / lam**2, rel=1e-9)
+    assert forward_hypotenuse(lam * a, lam * b, got) == pytest.approx(lam * c, rel=1e-9)
+
+
+def test_curvature_outside_float_range_raises():
+    # the root of the unit-scale triangle is found, but K = K_unit / m^2 overflows
+    # near m = 1e-300 (or in subnormals) and underflows near m = 1e200: no float
+    # holds it, which is an error, not a flat 0.0; a flat triple stays exactly 0
+    for scale in (1e-300, 1e-320, 1e200):
+        with pytest.raises(RootNotFound, match="is not a finite nonzero float at length scale"):
+            curvature_from_triangle(scale, scale, 1.2 * scale)
+        assert curvature_from_triangle(3 * scale, 4 * scale, 5 * scale) == 0.0
+
+
+def test_earth_sized_positive_branch_oracle():
+    # legs of 100-6400 km with K c^2 from 0.01 to 0.5, as on the earth: against a
+    # 60-digit root of the float sides, the half-angle residual loses no more than
+    # 1e-12, where cos(c sqrt(K)) - cos(a sqrt(K)) cos(b sqrt(K)) lost about 1e-11
+    import mpmath
+
+    rng = np.random.default_rng(66)
+    worst, solved = 0.0, 0
+    while solved < 200:
+        a, b = rng.uniform(100.0, 6400.0, size=2)
+        k = rng.uniform(0.01, 0.5) / (a * a + b * b)
+        c = forward_hypotenuse(a, b, k)
+        if not 0.01 <= k * c * c <= 0.5:
+            continue
+        with mpmath.workdps(60):
+            ma, mb, mc = map(mpmath.mpf, (a, b, c))
+
+            def deflated(x):
+                s = mpmath.sqrt(x)
+                return (mpmath.cos(mc * s) - mpmath.cos(ma * s) * mpmath.cos(mb * s)) / x
+
+            want = float(mpmath.findroot(deflated, (0.9 * k, 1.1 * k), solver="anderson"))
+        got = curvature_from_triangle(a, b, c)
+        worst = max(worst, abs(got - want) / want)
+        solved += 1
+    assert worst <= 1e-12
 
 
 def test_negative_branch_single_sign_change():

@@ -7,6 +7,7 @@ from curvgraph import (
     bfs_hops,
     curvature_from_triangle,
     enumerate_fractal_triangle_counts,
+    forward_hypotenuse,
     fractal_curvature_stats,
     sample_fractal_triangle_counts,
     sierpinski_graph,
@@ -149,8 +150,19 @@ def test_signs_at_level_two():
 
 @pytest.mark.parametrize("level", range(1, 6))
 def test_every_enumerated_shape_solves(level):
+    # every quadruple is counted or rejected, none is rejected, a flat shape is
+    # exactly 0 and every other root gives back its hypotenuse
     counts = enumerate_fractal_triangle_counts(sierpinski_graph(level))
-    assert fractal.solve_shapes(counts, 1.0, level)[1] == 0
+    solved, rejected = fractal.solve_shapes(counts, 1.0, level)
+    assert rejected == 0
+    stats = fractal_curvature_stats(counts, 1.0, level)
+    assert stats["count"] + stats["rejected"] == sum(counts.values())
+    for (a, b, c), (k, _) in zip(sorted(counts), solved, strict=True):
+        if a * a + b * b == c * c:
+            assert k == 0.0
+        else:
+            assert math.copysign(1.0, k) == math.copysign(1.0, a * a + b * b - c * c)
+            assert forward_hypotenuse(a, b, k) == pytest.approx(c, rel=1e-9)
 
 
 def test_stats_identity_scale():
