@@ -292,7 +292,11 @@ def forward_hypotenuse(a, b, curvature):
         s = math.sqrt(curvature)
         if max(a, b) * s >= math.pi:
             raise ValueError("legs do not fit on the sphere")
-        return math.acos(max(-1.0, min(1.0, math.cos(a * s) * math.cos(b * s)))) / s
+        # the half-angle form sin^2(c s/2) = S_a + S_b - 2 S_a S_b, S_x = sin^2(x s/2),
+        # as a sum of squares: acos of cos(a s) cos(b s) loses digits near flat
+        sin_a, cos_a = math.sin(0.5 * a * s), math.cos(0.5 * a * s)
+        sin_b, cos_b = math.sin(0.5 * b * s), math.cos(0.5 * b * s)
+        return 2.0 * math.asin(min(1.0, math.hypot(sin_a * cos_b, cos_a * sin_b))) / s
     if curvature < 0:
         # acosh z = ln z + log1p(sqrt(1 - z^-2)) with ln z = log cosh(at) + log cosh(bt),
         # so that long sides do not overflow cosh
@@ -375,28 +379,26 @@ def _triangle(g, l_e, s_min_hops, s_max_hops, rng, apex_row=None):
     raise NoCandidate(f"no valid triangle after {_RETRIES} retries")
 
 
-def each_sample(sample):
-    """A chunk draw for :func:`solve_triangles` that calls ``sample(gen)`` once per triangle.
+def _drawn(sample, streams):
+    """``sample(gen)`` once per triangle of each (count, gen) chunk, in chunk order, lazily.
 
-    ``sample`` returns one TriangleSample or raises NoCandidate, which the
-    chunk draw yields as None.
+    ``sample`` returns one TriangleSample or raises NoCandidate, which is
+    yielded as None.
     """
-    def draw(count, stream):
+    for count, stream in streams:
         for _ in range(count):
             try:
                 yield sample(stream)
             except NoCandidate:
                 yield None
 
-    return draw
 
-
-def solve_triangles(draw, streams, max_length_scale=None):
+def solve_triangles(triangles, max_length_scale=None):
     """Curvatures of drawn triangles, in draw order, and the rejections by reason.
 
-    ``streams`` holds (count, generator) pairs, run in order; ``draw(count,
-    gen)`` returns the chunk's ``count`` TriangleSamples, with None for a
-    draw that found no candidate.  A triangle with a side above
+    ``triangles`` is an iterable of TriangleSamples in draw order, with None
+    for a draw that found no candidate; it is read only after
+    ``max_length_scale`` is checked.  A triangle with a side above
     ``max_length_scale`` is rejected without a root solve.
     """
     if max_length_scale is not None and not 0 < max_length_scale < math.inf:
@@ -404,20 +406,19 @@ def solve_triangles(draw, streams, max_length_scale=None):
                          f"got {max_length_scale!r}")
     ks = []
     rejected = Counter()
-    for count, stream in streams:
-        for tri in draw(count, stream):
-            if tri is None:
-                rejected["no_candidate"] += 1
-                continue
-            if max_length_scale is not None and max(tri.sides()) > max_length_scale:
-                rejected["max_length_scale"] += 1
-                continue
-            try:
-                ks.append(curvature_from_triangle(*tri.sides()))
-            except TriangleInequalityViolated:
-                rejected["triangle_inequality"] += 1
-            except RootNotFound:
-                rejected["root_not_found"] += 1
+    for tri in triangles:
+        if tri is None:
+            rejected["no_candidate"] += 1
+            continue
+        if max_length_scale is not None and max(tri.sides()) > max_length_scale:
+            rejected["max_length_scale"] += 1
+            continue
+        try:
+            ks.append(curvature_from_triangle(*tri.sides()))
+        except TriangleInequalityViolated:
+            rejected["triangle_inequality"] += 1
+        except RootNotFound:
+            rejected["root_not_found"] += 1
     return ks, rejected
 
 
@@ -447,9 +448,9 @@ def estimate_curvature(g, l_e, n_samples, s_min_hops=None, s_max_hops=None,
     if not is_connected(g):
         raise Disconnected("curvature estimation requires a connected graph")
     s_min_hops, s_max_hops = hop_window(g, rng, s_min_hops, s_max_hops)
-    ks, rejected = solve_triangles(each_sample(partial(sample_triangle, g, l_e, s_min_hops,
-                                                       s_max_hops)),
-                                   chunk_streams(n_samples, rng), max_length_scale)
+    ks, rejected = solve_triangles(_drawn(partial(sample_triangle, g, l_e, s_min_hops, s_max_hops),
+                                          chunk_streams(n_samples, rng)),
+                                   max_length_scale)
     require_accepted(len(ks), n_samples, rejected)
     return CurvatureReport.from_samples(ks, rejected)
 
@@ -474,7 +475,7 @@ def vertex_curvature(g, l_e, samples_per_vertex, s_min_hops=None, s_max_hops=Non
     for v, stream in enumerate(rng.spawn(n)):
         # the apex's hop row is built once and shared by all its draws
         draw = partial(_triangle, g, l_e, s_min_hops, s_max_hops, apex_row=(v, bfs_hops(g, v)))
-        ks, _ = solve_triangles(each_sample(draw), [(samples_per_vertex, stream)])
+        ks, _ = solve_triangles(_drawn(draw, [(samples_per_vertex, stream)]))
         if ks:
             out[v] = float(np.mean(ks))
     return out

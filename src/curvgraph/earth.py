@@ -7,18 +7,22 @@ and u-w, and averaged; a relative asymmetry above 0.5% rejects the sample
 as a construction-error diagnostic.  Curvature comes from the right
 triangle (legA, legB, c) and the local radius estimate is R = 1/sqrt(K).
 
-Triangles are built a chunk of samples at a time with array geodesics
-(``Spheroid.direct`` and ``Spheroid.distance`` over arrays).  One block of
-uniforms holds each sample's two legs and its first construction: a round
-of candidate points for the base midpoint, and the azimuth.  A sample whose
-construction is not kept (no accepted candidate, a geodesic that does not
-converge, or the asymmetry rejection) is pending: the pending samples draw
-one more construction each, in sample order, and are built again, until
-none is pending.  ``sample_spheroid_triangle`` is the same loop on one
-sample.  Each triangle then gets one call of ``curvature_from_triangle``, a
-few bracketed Newton steps on the half-angle cosine rule (about 2.3 on
-earth triangles); the solves stay one call per triangle because
-perfbench's trace check counts those calls.
+Every triangle of a call is built with array geodesics (``Spheroid.direct``
+and ``Spheroid.distance`` over arrays) before the first root solve.  Each
+chunk's stream gives one block of uniforms holding each sample's two legs
+and its first construction: a round of candidate points for the base
+midpoint, and the azimuth.  The block is turned into legs, a midpoint and an
+azimuth at once, so only one chunk's block is held, and then all chunks'
+samples are built together.  A sample whose construction is not kept (no
+accepted candidate, a geodesic that does not converge, or the asymmetry
+rejection) is pending: each pending sample draws one more construction from
+its own chunk's stream, in sample order, and all pending samples are built
+again, until none is pending.  Every chunk's stream sees the calls it would
+if its chunk were built alone.  ``sample_spheroid_triangle`` is the same
+loop on one sample.  Each triangle then gets one call of
+``curvature_from_triangle``, a few bracketed Newton steps on the half-angle
+cosine rule (about 2.3 on earth triangles); the solves stay one call per
+triangle because perfbench's trace check counts those calls.
 
 Defaults use the stated earth parameters: equatorial 6378 km, polar
 6357 km.  On that spheroid the pointwise radius 1/sqrt(Gaussian curvature)
@@ -28,7 +32,6 @@ by p(R) = 0.077088 / sqrt(R - 6357).
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -55,6 +58,9 @@ _STALL_LIMIT = 10**3
 # uniforms of one construction: a round of candidate latitudes, longitudes
 # and acceptances for the base midpoint, and the azimuth
 _ATTEMPT_DRAWS = 3 * MIN_CANDIDATES + 1
+# candidates of a round looked at before the rest: on the earth spheroid
+# about 2/pi of them are accepted, so all eight miss with odds of about 3e-4
+_FIRST_CANDIDATES = 8
 
 
 def earth_spheroid():
@@ -89,18 +95,33 @@ def _quarter_minor_circumference(spheroid):
     return 0.5 * math.pi * spheroid.polar_radius
 
 
+def _first_candidates(spheroid, u):
+    """Each row's first accepted candidate, and whether the row has one.
+
+    ``u`` holds uniforms of shape (rows, 3, k), as ``Spheroid.candidates``
+    reads them.
+    """
+    lat, lon, keep = spheroid.candidates(u)
+    rows, first = np.arange(len(u)), keep.argmax(axis=1)
+    return np.column_stack([lat[rows, first], lon[rows, first]]), keep[rows, first]
+
+
 def _midpoints(spheroid, u):
     """Base midpoints, azimuths and whether a candidate was accepted, per row of ``u``.
 
     A row holds the _ATTEMPT_DRAWS uniforms of one construction: a round of
     MIN_CANDIDATES latitude, longitude and acceptance draws, as
     ``Spheroid.candidates`` reads them, then the azimuth.  The midpoint is the
-    round's first accepted candidate.
+    round's first accepted candidate.  Candidates are elementwise, so it is
+    looked for among the first _FIRST_CANDIDATES of the round, and only the
+    rows that accept none there are redone on the whole round.
     """
-    lat, lon, keep = spheroid.candidates(u[:, :-1].reshape(len(u), 3, MIN_CANDIDATES))
-    rows, first = np.arange(len(u)), keep.argmax(axis=1)
-    return (np.column_stack([lat[rows, first], lon[rows, first]]),
-            uniform_from(u[:, -1], 0.0, 2.0 * math.pi), keep[rows, first])
+    cand = u[:, :-1].reshape(len(u), 3, MIN_CANDIDATES)
+    mid, accepted = _first_candidates(spheroid, cand[..., :_FIRST_CANDIDATES])
+    redo = np.flatnonzero(~accepted)
+    if redo.size:
+        mid[redo], accepted[redo] = _first_candidates(spheroid, cand[redo])
+    return mid, uniform_from(u[:, -1], 0.0, 2.0 * math.pi), accepted
 
 
 def _hypotenuses(spheroid, mid, theta, leg_a, leg_b):
@@ -120,27 +141,34 @@ def _hypotenuses(spheroid, mid, theta, leg_a, leg_b):
     return c, np.abs(c1 - c2) <= _ASYMMETRY_REL * c
 
 
-def _retried_hypotenuses(spheroid, leg_a, leg_b, u, stream):
+def _retried_hypotenuses(spheroid, leg_a, leg_b, first, streams):
     """Averaged hypotenuse of each sample's first kept construction.
 
-    Row i of ``u`` holds the _ATTEMPT_DRAWS of sample i's first
-    construction, on legs ``leg_a[i]`` and ``leg_b[i]``.  A construction is
-    not kept when its round of candidates accepted none or ``_hypotenuses``
-    does not keep it; the samples still pending then draw one more
-    construction each, in sample order, with one ``stream.random`` call, and
-    are built again.  A sample rejected _STALL_LIMIT times stalls.
+    Sample i has legs ``leg_a[i]`` and ``leg_b[i]``, and ``first`` holds the
+    midpoints, azimuths and acceptances of every sample's first
+    construction.  ``streams`` holds the (count, generator) of each run of
+    consecutive samples, in sample order.  A construction is not kept when
+    its round of candidates accepted none or ``_hypotenuses`` does not keep
+    it; each pending sample then draws one more construction from its own
+    run's generator, in sample order, one ``random`` call per run, and all
+    pending samples are built again together.  A sample rejected
+    _STALL_LIMIT times stalls; the first such sample names the reason.
     """
-    c = np.empty(len(u))
-    pending = np.arange(len(u))
+    c = np.empty(len(leg_a))
+    pending = np.arange(len(leg_a))
+    ends = np.cumsum([count for count, _ in streams])
+    mid, theta, accepted = first
     for _ in range(_STALL_LIMIT):
-        mid, theta, accepted = _midpoints(spheroid, u)
         h, kept = _hypotenuses(spheroid, mid, theta, leg_a[pending], leg_b[pending])
         kept &= accepted
         c[pending[kept]] = h[kept]
         pending, h = pending[~kept], h[~kept]
         if not pending.size:
             return c
-        u = stream.random((pending.size, _ATTEMPT_DRAWS))
+        per_run = np.bincount(np.searchsorted(ends, pending, side="right"), minlength=len(ends))
+        mid, theta, accepted = _midpoints(spheroid, np.concatenate(
+            [gen.random((k, _ATTEMPT_DRAWS)) for k, (_, gen) in zip(per_run.tolist(), streams)
+             if k]))
     raise SamplingStalled("geodesic construction kept failing" if math.isnan(h[0])
                           else "hypotenuse asymmetry kept exceeding 0.5%")
 
@@ -156,22 +184,34 @@ def sample_spheroid_triangle(spheroid, leg_a, leg_b, rng):
     if max(leg_a, leg_b) >= _quarter_minor_circumference(spheroid):
         raise ValueError("legs must stay below a quarter of the minor circumference")
     c = _retried_hypotenuses(spheroid, np.array([leg_a]), np.array([leg_b]),
-                             rng.random((1, _ATTEMPT_DRAWS)), rng)
+                             _midpoints(spheroid, rng.random((1, _ATTEMPT_DRAWS))), [(1, rng)])
     return TriangleSample(a=leg_a, b=leg_b, c=float(c[0]))
 
 
-def _triangle_chunk(spheroid, leg_range, count, stream):
-    """``count`` triangles with legs from ``leg_range``, built as arrays.
+def _triangles(spheroid, leg_range, streams):
+    """The triangles of every chunk, with legs from ``leg_range``, built as arrays.
 
-    One ``stream.random`` call takes each sample's two legs and the
-    _ATTEMPT_DRAWS of its first construction; the samples whose
-    construction is not kept draw again after it, in ``_retried_hypotenuses``.
+    ``streams`` holds each chunk's (count, generator), in chunk order.  One
+    ``random`` call per chunk takes each sample's two legs and the
+    _ATTEMPT_DRAWS of its first construction, which are turned into legs and
+    a midpoint at once, so only one chunk's block of uniforms is held.  Then
+    every sample is built together, and the samples whose construction is
+    not kept draw again from their chunk's generator, in
+    ``_retried_hypotenuses``.  A generator: nothing is drawn before the
+    first triangle is asked for, and then every triangle is built.
     """
-    u = stream.random((count, 2 + _ATTEMPT_DRAWS))
-    legs = uniform_from(u[:, :2], *leg_range)
-    c = _retried_hypotenuses(spheroid, legs[:, 0], legs[:, 1], u[:, 2:], stream)
-    return [TriangleSample(a=a, b=b, c=h)
-            for a, b, h in zip(legs[:, 0].tolist(), legs[:, 1].tolist(), c.tolist())]
+    if not streams:
+        return
+    legs, first = [], []
+    for count, gen in streams:
+        u = gen.random((count, 2 + _ATTEMPT_DRAWS))
+        legs.append(uniform_from(u[:, :2], *leg_range))
+        first.append(_midpoints(spheroid, u[:, 2:]))
+    legs = np.concatenate(legs)
+    first = [np.concatenate(part) for part in zip(*first)]
+    c = _retried_hypotenuses(spheroid, legs[:, 0], legs[:, 1], first, streams)
+    for a, b, h in zip(legs[:, 0].tolist(), legs[:, 1].tolist(), c.tolist()):
+        yield TriangleSample(a=a, b=b, c=h)
 
 
 @dataclass
@@ -218,9 +258,9 @@ def estimate_earth_radius(spheroid=None, n_samples=10**4, leg_range=DEFAULT_LEG_
     Legs are drawn uniformly from leg_range per sample.  When
     max_length_scale is given, triangles with any side above it are
     dropped and the report carries the KS distance to the expected pdf.
-    Draws run in the chunks of ``estimate_curvature``, each built as arrays
-    by ``_triangle_chunk``; K <= 0 counts as rejectedNegativeK and every
-    other rejection as rejectedOther.
+    Draws run in the chunks of ``estimate_curvature``, and every chunk's
+    triangles are built together as arrays by ``_triangles``; K <= 0 counts
+    as rejectedNegativeK and every other rejection as rejectedOther.
     """
     if spheroid is None:
         spheroid = earth_spheroid()
@@ -230,8 +270,8 @@ def estimate_earth_radius(spheroid=None, n_samples=10**4, leg_range=DEFAULT_LEG_
         raise ValueError(f"leg_range must satisfy 0 < min <= max < a quarter of the minor "
                          f"circumference, got {tuple(leg_range)}")
 
-    ks, rejected = solve_triangles(partial(_triangle_chunk, spheroid, leg_range),
-                                   chunk_streams(n_samples, rng), max_length_scale)
+    ks, rejected = solve_triangles(_triangles(spheroid, leg_range, chunk_streams(n_samples, rng)),
+                                   max_length_scale)
     radii = np.asarray([radius_from_curvature(k) for k in ks if k > 0], dtype=np.float64)
     neg, other = len(ks) - radii.size, sum(rejected.values())
     require_accepted(radii.size, n_samples, {**rejected, "non_positive_k": neg})

@@ -13,11 +13,17 @@ right triangle (a, b, c) = (d(u,m), d(v,w)/2, d(u,v)) in unit edge
 lengths.  Every qualifying midpoint yields its own sample.  The exact tally
 of samples by shape is enumerated, and drawing m samples uniformly over
 the quadruples is one multinomial draw over that tally.
+
+The six symmetries of the triangle permute the barycentric coordinates
+(x, y, 2^n - x - y) of the vertices and map each pair {v, w}, with its
+midpoints, apexes and shapes, onto another.  So the enumeration expands
+one pair per orbit and counts it once for each pair of the orbit.
 """
 
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -31,19 +37,23 @@ _BLOCK = 1 << 14         # hop-row cells or candidates expanded at once (memory 
 _SCALE_DECADES = 100     # scaled K, squared and weighted by counts, stays a normal float
 
 
-# Even-base pairs with their midpoint and apex lists, as int32 CSR.  Pair k
-# is (v[k], w[k]), v < w, at hop distance 2 half[k]; its midpoints are
-# mids[mid_ptr[k]:mid_ptr[k + 1]] and its equidistant apexes
-# apexes[apex_ptr[k]:apex_ptr[k + 1]], each in ascending vertex order.  Pairs
-# run in row-major order of the upper triangle.
-PairTable = namedtuple("PairTable", "v w half mid_ptr mids apex_ptr apexes")
+# One even-base pair per symmetry orbit, with its midpoint and apex lists, as
+# int32 CSR.  Pair k is (v[k], w[k]), v < w, at hop distance 2 half[k], the
+# image with the smallest v * V + w among the `size[k]` distinct images of
+# its orbit; its midpoints are mids[mid_ptr[k]:mid_ptr[k + 1]] and its
+# equidistant apexes apexes[apex_ptr[k]:apex_ptr[k + 1]], each in ascending
+# vertex order.  Pairs run in row-major order of the upper triangle.
+PairTable = namedtuple("PairTable", "v w half size mid_ptr mids apex_ptr apexes")
 
 
 @dataclass
 class SierpinskiGraph:
+    """A level-n Sierpinski graph; vertex v sits at lattice point coords[v] = (x, y)."""
+
     level: int
     graph: Graph
     corner_vertices: tuple
+    coords: np.ndarray
 
     def __post_init__(self):
         self._hops = None
@@ -51,19 +61,35 @@ class SierpinskiGraph:
 
     def all_hops(self):
         """Exact all-pairs hop distances (cached); levels <= 6 only."""
-        if self.level > _MAX_ALLPAIRS_LEVEL:
-            raise LevelTooLarge(
-                f"all-pairs distances limited to level {_MAX_ALLPAIRS_LEVEL}"
-            )
+        require_all_pairs(self.level)
         if self._hops is None:
             self._hops = _hop_distances(self.graph).astype(np.int32)
         return self._hops
 
+    def symmetries(self):
+        """The six vertex permutations of the triangle's symmetries, identity first, as int32 rows.
+
+        Each permutes the barycentric coordinates (x, y, 2^n - x - y) of every
+        vertex; row s maps v to the vertex at the s-th permutation of v's.
+        """
+        side = 2**self.level
+        x, y = self.coords.T
+        bary = (x, y, side - x - y)
+        at = np.zeros((side + 1, side + 1), dtype=np.int32)
+        at[x, y] = np.arange(x.size)
+        return np.array([at[bary[i], bary[j]] for i, j, _ in permutations(range(3))])
+
     def pair_table(self):
-        """The even-base pair table (cached); levels <= 6 only."""
+        """The even-base pair table over symmetry orbits (cached); levels <= 6 only."""
         if self._pairs is None:
-            self._pairs = _build_pair_table(self.all_hops())
+            self._pairs = _build_pair_table(self.all_hops(), self.symmetries())
         return self._pairs
+
+
+def require_all_pairs(level):
+    """Raise LevelTooLarge for a level whose all-pairs distances the enumeration cannot take."""
+    if level > _MAX_ALLPAIRS_LEVEL:
+        raise LevelTooLarge(f"all-pairs distances limited to level {_MAX_ALLPAIRS_LEVEL}")
 
 
 def sierpinski_graph(level):
@@ -96,16 +122,26 @@ def sierpinski_graph(level):
     graph = Graph(len(ids), us, vs)
     side = 2**level
     corners = (ids[(0, 0)], ids[(side, 0)], ids[(0, side)])
-    return SierpinskiGraph(level=level, graph=graph, corner_vertices=corners)
+    return SierpinskiGraph(level=level, graph=graph, corner_vertices=corners,
+                           coords=np.array(list(ids), dtype=np.int32))
 
 
-def _build_pair_table(hops):
+def _build_pair_table(hops, symmetries):
     """The one place that finds each even-base pair's midpoints and apexes.
 
-    Every even base has a shortest-path midpoint, and a midpoint is itself
-    an apex, so no pair has an empty list.
+    A symmetry maps a pair's midpoints, apexes and shapes onto its image's,
+    so only the orbit's smallest image, by v * V + w, is kept, with the
+    orbit's size.  Every even base has a shortest-path midpoint, and a
+    midpoint is itself an apex, so no pair has an empty list.
     """
+    n = len(hops)
     v, w = np.nonzero(np.triu((hops % 2 == 0) & (hops >= 2), 1))
+    sv, sw = symmetries[:, v].astype(np.int64), symmetries[:, w].astype(np.int64)
+    images = np.sort(np.minimum(sv, sw) * n + np.maximum(sv, sw), axis=0)
+    canonical = images[0] == v * n + w
+    images = images[:, canonical]
+    size = 1 + np.count_nonzero(images[1:] != images[:-1], axis=0)
+    v, w = v[canonical], w[canonical]
     half = hops[v, w] // 2
     step = max(1, _BLOCK // len(hops))
     # per block: each pair's list length, and the lists' vertices in pair order;
@@ -125,7 +161,7 @@ def _build_pair_table(hops):
         return ptr, np.concatenate(cols[k])
 
     return PairTable(v.astype(np.int32), w.astype(np.int32), half.astype(np.int32),
-                     *csr(0), *csr(1))
+                     size.astype(np.int32), *csr(0), *csr(1))
 
 
 def enumerate_fractal_triangle_counts(sg):
@@ -136,7 +172,9 @@ def enumerate_fractal_triangle_counts(sg):
     a = d(u,m) >= 1, and strict triangle inequalities on (a, b, c) in unit
     edge lengths.  Levels 5-6 have millions of quadruples but only a few
     thousand distinct shapes, so candidates are expanded about _BLOCK at a
-    time, by pair, then apex, then midpoint, and only tallied.
+    time, by pair, then apex, then midpoint, and only tallied.  Only one
+    pair per symmetry orbit is expanded; its candidates count once for each
+    pair of the orbit, in exact integers.
     """
     t, hops = sg.pair_table(), sg.all_hops()
     n_mid = np.diff(t.mid_ptr)
@@ -154,8 +192,11 @@ def enumerate_fractal_triangle_counts(sg):
         m = t.mids[t.mid_ptr[k] + rank % n_mid[k]]
         a, b, c = hops[u, m], t.half[k], hops[t.v[k], u]
         ok = (a >= 1) & (a < b + c) & (b < a + c) & (c < a + b)
-        block = np.bincount(((a * side + b) * side + c)[ok])
-        totals[:block.size] += block
+        key, size = ((a * side + b) * side + c)[ok], t.size[k][ok]
+        # each candidate stands for its pair's whole orbit
+        for s in np.unique(size).tolist():
+            block = np.bincount(key[size == s])
+            totals[:block.size] += s * block
         k0 = k1
     keys = np.nonzero(totals)[0]
     shapes = zip((keys // side**2).tolist(), (keys // side % side).tolist(),

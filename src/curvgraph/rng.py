@@ -21,8 +21,13 @@ def substream(seed, *path):
 def chunk_streams(n, rng):
     """(sample count, sub-stream) of each chunk of ``range(n)``, in chunk order.
 
-    One stream per chunk is spawned from ``rng`` up front; running the
-    chunks in this order keeps every seeded result.
+    One stream per chunk is spawned from ``rng`` up front, and a chunk's
+    draws come only from its own stream, in the order of its samples.  Graph
+    triangles are drawn chunk after chunk; earth triangles take every
+    chunk's first block before any retry, and then each retry round draws
+    from every chunk's stream that still has pending samples, in chunk
+    order.  Either way each stream sees the same calls as when its chunk
+    runs alone, which keeps every seeded result.
     """
     sizes = [min(CHUNK, n - lo) for lo in range(0, n, CHUNK)]
     return list(zip(sizes, rng.spawn(len(sizes))))

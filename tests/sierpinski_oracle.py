@@ -1,4 +1,6 @@
-"""Brute-force oracle for the Sierpinski even-base triangle enumeration."""
+"""Oracles for the Sierpinski even-base triangle enumeration."""
+import numpy as np
+
 from curvgraph import bfs_hops
 
 
@@ -30,3 +32,25 @@ def brute_force_counts(sg):
                         key = (a, half, c)
                         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def full_pair_counts(sg):
+    """{(a,b,c): count} with every even-base pair expanded on its own.
+
+    No symmetry and no pair table: for each pair v < w at even hop distance
+    2b, every midpoint m and every apex u equidistant from v and w, found
+    with whole-row masks of the all-pairs hops, one pair at a time.
+    """
+    hops = sg.all_hops()
+    side = 2**sg.level + 1  # every hop distance is below this
+    totals = np.zeros(side**3, dtype=np.int64)
+    for v, w in zip(*np.nonzero(np.triu((hops % 2 == 0) & (hops >= 2), 1))):
+        b = hops[v, w] // 2
+        mids = np.flatnonzero((hops[v] == b) & (hops[w] == b))
+        apexes = np.flatnonzero(hops[v] == hops[w])
+        a, c = hops[np.ix_(apexes, mids)], hops[v, apexes][:, None]
+        ok = (a >= 1) & (a < b + c) & (b < a + c) & (c < a + b)
+        np.add.at(totals, ((a * side + b) * side + np.broadcast_to(c, a.shape))[ok], 1)
+    keys = np.flatnonzero(totals)
+    return {(int(k // side**2), int(k // side % side), int(k % side)): int(totals[k])
+            for k in keys}

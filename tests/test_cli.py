@@ -436,8 +436,9 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
         err = cli_error(*args)
         assert err["error"] == "InvalidInput", err
     # out-of-range values: a negative edge endpoint, a fractal sample count below 1,
-    # an edge scale whose curvature factor leaves float range, and numbers on the
-    # root-solve path, each rejected before it is used
+    # a fractal level above 6 (refused before its graph is built), an edge scale
+    # whose curvature factor leaves float range, and numbers on the root-solve
+    # path, each rejected before it is used
     fractal = ("fractal", "--level", 2, "--exact", "--seed", 1)
     curvature = ("curvature", "--graph", tmp_path / "ok", "--samples", 2, "--seed", 1)
     earth = ("earth", "--samples", 50, "--seed", 1)
@@ -465,6 +466,8 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
         (("distortion", "--graph", tmp_path / "neg", "--seed", 1),
          "ValueError", "edge endpoint out of range"),
         (("fractal", "--level", 2, "--samples", -5, "--seed", 1), "ValueError", "need m >= 1"),
+        (("fractal", "--level", 12, "--exact", "--seed", 1), "LevelTooLarge",
+         "all-pairs distances limited to level 6"),
         ((*fractal, "--edge-scale", 0), "ValueError", scale + "0.0"),
         ((*fractal, "--edge-scale", -1), "ValueError", scale + "-1.0"),
         ((*fractal, "--edge-scale", "nan"), "ValueError", scale + "nan"),

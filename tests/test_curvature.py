@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 from functools import partial
 
@@ -212,6 +213,42 @@ def test_earth_sized_positive_branch_oracle():
         worst = max(worst, abs(got - want) / want)
         solved += 1
     assert worst <= 1e-12
+
+
+def test_forward_hypotenuse_near_flat_oracle():
+    # K c^2 from 1e-12 to 1e-2 on both branches, against the 60-digit cosine rule;
+    # acos(cos(a sqrt(K)) cos(b sqrt(K))) was off by 2e-9 relative at K c^2 = 1e-8
+    import mpmath
+
+    rng = np.random.default_rng(67)
+    for kc2 in np.geomspace(1e-12, 1e-2, 60):
+        for a, b in [(0.501, 0.506), rng.uniform(0.05, 2.0, size=2) * 10.0 ** rng.uniform(-3, 4)]:
+            for sign in (1.0, -1.0):
+                k = sign * kc2 / (a * a + b * b)
+                with mpmath.workdps(60):
+                    ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+                    s = mpmath.sqrt(abs(mpmath.mpf(k)))
+                    if sign > 0:
+                        want = mpmath.acos(mpmath.cos(ma * s) * mpmath.cos(mb * s)) / s
+                    else:
+                        want = mpmath.acosh(mpmath.cosh(ma * s) * mpmath.cosh(mb * s)) / s
+                assert forward_hypotenuse(a, b, k) == pytest.approx(float(want), rel=1e-13)
+
+
+def test_near_flat_round_trip():
+    # K -> c -> K near flat: the root moves with c's rounding by about
+    # eps c^4 / (a^2 b^2 K c^2) relative, the gap's sensitivity, and gives
+    # back c to rounding
+    rng = np.random.default_rng(68)
+    eps = sys.float_info.epsilon
+    for kc2 in np.geomspace(1e-10, 1e-2, 200):
+        for sign in (1.0, -1.0):
+            a, b = rng.uniform(0.5, 2.0, size=2) * 10.0 ** rng.uniform(-3, 4)
+            k = sign * kc2 / (a * a + b * b)
+            c = forward_hypotenuse(a, b, k)
+            got = curvature_from_triangle(a, b, c)
+            assert abs(got - k) <= 32 * eps * c**4 / (a * a * b * b * kc2) * abs(k)
+            assert forward_hypotenuse(a, b, got) == pytest.approx(c, rel=1e-14)
 
 
 def test_negative_branch_single_sign_change():

@@ -24,6 +24,7 @@ from curvgraph.errors import (
     TooFewAccepted,
 )
 from curvgraph.manifolds import MIN_CANDIDATES
+from curvgraph.rng import uniform_from
 
 
 def test_radius_from_curvature():
@@ -199,6 +200,10 @@ def _assert_draws_equal_reference(draw, spheroid, leg_range, count, seed):
     return rounds
 
 
+def _one_chunk(spheroid, leg_range, count, rng):
+    return earth._triangles(spheroid, leg_range, [(count, rng)])
+
+
 class _SparseSpheroid(Spheroid):
     """A spheroid that refuses most candidate points.
 
@@ -221,8 +226,47 @@ def test_triangle_chunk_equals_per_sample_draws(seed, count, spheroid, asymmetry
     # an asymmetry bound of 2e-5 rejects about one construction in seven,
     # which leaves those samples pending for another round
     with mock.patch.object(earth, "_ASYMMETRY_REL", asymmetry):
-        _assert_draws_equal_reference(earth._triangle_chunk, spheroid, (lo, lo + width), count,
-                                      seed)
+        _assert_draws_equal_reference(_one_chunk, spheroid, (lo, lo + width), count, seed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), counts=st.lists(st.integers(1, 40), min_size=2, max_size=4))
+def test_all_chunks_equal_the_per_chunk_reference(seed, counts):
+    # the sparse spheroid sends most rows to the full round of candidates, and
+    # the tight asymmetry bound leaves samples of every chunk pending
+    spheroid, leg_range = _SparseSpheroid(6378.0, 6357.0), (500.0, 4000.0)
+    gens = np.random.default_rng(seed).spawn(len(counts))
+    refs = np.random.default_rng(seed).spawn(len(counts))
+    with mock.patch.object(earth, "_ASYMMETRY_REL", 2e-5):
+        got = [t.sides() for t in earth._triangles(spheroid, leg_range, list(zip(counts, gens)))]
+        expected = [tri for count, ref in zip(counts, refs)
+                    for tri in _rounds_over_pending(spheroid, leg_range, count, ref)[0]]
+    assert got == expected
+    assert [g.bit_generator.state for g in gens] == [r.bit_generator.state for r in refs]
+
+
+@pytest.mark.parametrize("earlier_fails", [True, False])
+def test_stall_in_a_later_chunk(monkeypatch, earlier_fails):
+    # one sample of chunk 1 and one of chunk 2 are never kept, one with a
+    # geodesic that fails and one with a finite hypotenuse: chunk 1 is the
+    # one a chunk-by-chunk build stalls on, so its sample names the reason
+    counts, leg_range = [3, 4, 5], (500.0, 4000.0)
+    firsts = [uniform_from(gen.random((count, 2 + earth._ATTEMPT_DRAWS))[:, 0], *leg_range)
+              for count, gen in zip(counts, np.random.default_rng(11).spawn(3))]
+    failing, asymmetric = (firsts[1][2], firsts[2][0])[::1 if earlier_fails else -1]
+    hypotenuses = earth._hypotenuses
+
+    def never_kept(spheroid, mid, theta, leg_a, leg_b):
+        c, kept = hypotenuses(spheroid, mid, theta, leg_a, leg_b)
+        c[leg_a == failing] = math.nan
+        return c, kept & (leg_a != failing) & (leg_a != asymmetric)
+
+    monkeypatch.setattr(earth, "_hypotenuses", never_kept)
+    message = ("geodesic construction kept failing" if earlier_fails
+               else "hypotenuse asymmetry kept exceeding 0.5%")
+    with pytest.raises(SamplingStalled, match=message):
+        list(earth._triangles(earth_spheroid(), leg_range,
+                              list(zip(counts, np.random.default_rng(11).spawn(3)))))
 
 
 @pytest.mark.parametrize("owner, name, value, count", [(earth, "_ASYMMETRY_REL", 5e-5, 60),
@@ -231,7 +275,7 @@ def test_rejected_constructions_redraw_as_the_reference(monkeypatch, owner, name
     # a tight asymmetry bound rejects some constructions, and four iterations
     # leave most geodesics unconverged: the pending samples must be retried
     monkeypatch.setattr(owner, name, value)
-    assert _assert_draws_equal_reference(earth._triangle_chunk, earth_spheroid(),
+    assert _assert_draws_equal_reference(_one_chunk, earth_spheroid(),
                                          (500.0, 4000.0), count, 7) > 0
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from curvgraph import (
 )
 from curvgraph import fractal
 from curvgraph.errors import LevelTooLarge, SamplingStalled
-from sierpinski_oracle import brute_force_counts
+from sierpinski_oracle import brute_force_counts, full_pair_counts
 
 
 @pytest.mark.parametrize("level", range(6))
@@ -76,21 +77,58 @@ def test_count_enumeration_equals_sample_enumeration(level):
     assert set(sampled) == set(exact)
 
 
+@pytest.mark.parametrize("level", range(7))
+def test_symmetries_map_edges_to_edges(level):
+    sg = sierpinski_graph(level)
+    n = sg.graph.vertex_count
+    edges = {(u, v) for u in range(n) for v in sg.graph.neighbors(u)}
+    perms = sg.symmetries()
+    assert perms.shape == (6, n) and np.array_equal(perms[0], np.arange(n))
+    assert len({p.tobytes() for p in perms}) == 6
+    for p in perms:
+        assert np.array_equal(np.sort(p), np.arange(n))
+        assert {(int(p[u]), int(p[v])) for u, v in edges} == edges
+
+
+def _corner_symmetries(sg, hops):
+    """The six automorphisms, found from hop distances alone.
+
+    Each permutes the three corners, and no two vertices have the same hop
+    distances to the corners, so a vertex maps to the one at its distances,
+    permuted.
+    """
+    at = {tuple(hops[c][v] for c in sg.corner_vertices): v for v in range(len(hops))}
+    assert len(at) == len(hops)
+    return [[at[tuple(hops[sg.corner_vertices[i]][v] for i in order)] for v in range(len(hops))]
+            for order in permutations(range(3))]
+
+
 def test_pair_table_matches_definition():
     sg = sierpinski_graph(4)  # several build blocks
     hops = [list(map(int, bfs_hops(sg.graph, v))) for v in range(sg.graph.vertex_count)]
     verts = range(len(hops))
     pairs = [(v, w) for v in verts for w in verts
              if v < w and hops[v][w] >= 2 and hops[v][w] % 2 == 0]
+    orbits = {pair: {tuple(sorted((s[pair[0]], s[pair[1]]))) for s in _corner_symmetries(sg, hops)}
+              for pair in pairs}
+    canonical = [pair for pair in pairs if pair == min(orbits[pair])]
     t = sg.pair_table()
-    assert list(zip(t.v.tolist(), t.w.tolist())) == pairs
-    for k, (v, w) in enumerate(pairs):
+    assert list(zip(t.v.tolist(), t.w.tolist())) == canonical
+    assert t.size.tolist() == [len(orbits[pair]) for pair in canonical]
+    assert sum(t.size.tolist()) == len(pairs)
+    for k, (v, w) in enumerate(canonical):
         half = hops[v][w] // 2
         assert t.half[k] == half
         assert (t.mids[t.mid_ptr[k]:t.mid_ptr[k + 1]].tolist()
                 == [m for m in verts if hops[v][m] == half == hops[w][m]])
         assert (t.apexes[t.apex_ptr[k]:t.apex_ptr[k + 1]].tolist()
                 == [u for u in verts if hops[v][u] == hops[w][u]])
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_orbit_tally_equals_full_pair_enumeration(level):
+    sg = sierpinski_graph(level)
+    assert enumerate_fractal_triangle_counts(sg) == full_pair_counts(sg)
 
 
 def test_blocks_smaller_than_a_pair(monkeypatch):
