@@ -461,7 +461,9 @@ def vertex_curvature(g, l_e, samples_per_vertex, s_min_hops=None, s_max_hops=Non
     The hop window is resolved as in :func:`estimate_curvature`, before
     one sub-stream per vertex is spawned from ``rng``.  Returns an array
     with NaN for vertices with no accepted sample; a disconnected graph
-    raises Disconnected, as it does for :func:`estimate_curvature`.
+    raises Disconnected, as it does for :func:`estimate_curvature`, and
+    when no vertex has an accepted sample TooFewAccepted names the
+    rejections summed over every vertex.
     """
     if samples_per_vertex < 1:
         raise ValueError("need samples_per_vertex >= 1")
@@ -472,10 +474,15 @@ def vertex_curvature(g, l_e, samples_per_vertex, s_min_hops=None, s_max_hops=Non
     s_min_hops, s_max_hops = hop_window(g, rng, s_min_hops, s_max_hops)
     n = g.vertex_count
     out = np.full(n, np.nan)
+    rejected = Counter()
     for v, stream in enumerate(rng.spawn(n)):
         # the apex's hop row is built once and shared by all its draws
         draw = partial(_triangle, g, l_e, s_min_hops, s_max_hops, apex_row=(v, bfs_hops(g, v)))
-        ks, _ = solve_triangles(_drawn(draw, [(samples_per_vertex, stream)]))
+        ks, vertex_rejected = solve_triangles(_drawn(draw, [(samples_per_vertex, stream)]))
+        rejected += vertex_rejected
         if ks:
             out[v] = float(np.mean(ks))
+    if np.isnan(out).all():
+        raise TooFewAccepted(f"0 of {n * samples_per_vertex} samples accepted, so no vertex of "
+                             f"{n} has a curvature (rejections: {dict(rejected)})")
     return out

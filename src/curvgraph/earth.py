@@ -9,17 +9,16 @@ triangle (legA, legB, c) and the local radius estimate is R = 1/sqrt(K).
 
 Every triangle of a call is built with array geodesics (``Spheroid.direct``
 and ``Spheroid.distance`` over arrays) before the first root solve.  Each
-chunk's stream gives one block of uniforms holding each sample's two legs
-and its first construction: a round of candidate points for the base
-midpoint, and the azimuth.  The block is turned into legs, a midpoint and an
-azimuth at once, so only one chunk's block is held, and then all chunks'
-samples are built together.  A sample whose construction is not kept (no
-accepted candidate, a geodesic that does not converge, or the asymmetry
-rejection) is pending: each pending sample draws one more construction from
-its own chunk's stream, in sample order, and all pending samples are built
-again, until none is pending.  Every chunk's stream sees the calls it would
-if its chunk were built alone.  ``sample_spheroid_triangle`` is the same
-loop on one sample.  Each triangle then gets one call of
+chunk's stream first gives the chunk's legs, in one ``uniform`` call.  Then
+every sample is pending, and each round every pending sample draws one
+construction from its own chunk's stream, in sample order: the chunk's
+pending base midpoints from ``Spheroid.sample_points`` (uniform over the
+surface), then their azimuths from one ``uniform`` call.  All pending
+samples are built together, and a sample whose construction is not kept (a
+geodesic that does not converge, or the asymmetry rejection) stays pending
+for the next round.  Each chunk's stream sees the calls it would if its
+chunk were built alone.  ``sample_spheroid_triangle`` is the same loop on
+one sample.  Each triangle then gets one call of
 ``curvature_from_triangle``, a few bracketed Newton steps on the half-angle
 cosine rule (about 2.3 on earth triangles); the solves stay one call per
 triangle because perfbench's trace check counts those calls.
@@ -43,8 +42,8 @@ from .curvature import (
     write_column_csv,
 )
 from .errors import NonPositiveCurvature, SamplingStalled
-from .manifolds import MIN_CANDIDATES, Spheroid
-from .rng import chunk_streams, uniform_from
+from .manifolds import Spheroid
+from .rng import chunk_streams
 
 EARTH_EQUATORIAL_KM = 6378.0
 EARTH_POLAR_KM = 6357.0
@@ -55,12 +54,6 @@ _PDF_LO = 6357.0
 _PDF_HI = 6399.07
 _ASYMMETRY_REL = 0.005
 _STALL_LIMIT = 10**3
-# uniforms of one construction: a round of candidate latitudes, longitudes
-# and acceptances for the base midpoint, and the azimuth
-_ATTEMPT_DRAWS = 3 * MIN_CANDIDATES + 1
-# candidates of a round looked at before the rest: on the earth spheroid
-# about 2/pi of them are accepted, so all eight miss with odds of about 3e-4
-_FIRST_CANDIDATES = 8
 
 
 def earth_spheroid():
@@ -95,35 +88,6 @@ def _quarter_minor_circumference(spheroid):
     return 0.5 * math.pi * spheroid.polar_radius
 
 
-def _first_candidates(spheroid, u):
-    """Each row's first accepted candidate, and whether the row has one.
-
-    ``u`` holds uniforms of shape (rows, 3, k), as ``Spheroid.candidates``
-    reads them.
-    """
-    lat, lon, keep = spheroid.candidates(u)
-    rows, first = np.arange(len(u)), keep.argmax(axis=1)
-    return np.column_stack([lat[rows, first], lon[rows, first]]), keep[rows, first]
-
-
-def _midpoints(spheroid, u):
-    """Base midpoints, azimuths and whether a candidate was accepted, per row of ``u``.
-
-    A row holds the _ATTEMPT_DRAWS uniforms of one construction: a round of
-    MIN_CANDIDATES latitude, longitude and acceptance draws, as
-    ``Spheroid.candidates`` reads them, then the azimuth.  The midpoint is the
-    round's first accepted candidate.  Candidates are elementwise, so it is
-    looked for among the first _FIRST_CANDIDATES of the round, and only the
-    rows that accept none there are redone on the whole round.
-    """
-    cand = u[:, :-1].reshape(len(u), 3, MIN_CANDIDATES)
-    mid, accepted = _first_candidates(spheroid, cand[..., :_FIRST_CANDIDATES])
-    redo = np.flatnonzero(~accepted)
-    if redo.size:
-        mid[redo], accepted[redo] = _first_candidates(spheroid, cand[redo])
-    return mid, uniform_from(u[:, -1], 0.0, 2.0 * math.pi), accepted
-
-
 def _hypotenuses(spheroid, mid, theta, leg_a, leg_b):
     """Averaged hypotenuse of each construction, and whether it is kept.
 
@@ -141,34 +105,32 @@ def _hypotenuses(spheroid, mid, theta, leg_a, leg_b):
     return c, np.abs(c1 - c2) <= _ASYMMETRY_REL * c
 
 
-def _retried_hypotenuses(spheroid, leg_a, leg_b, first, streams):
+def _retried_hypotenuses(spheroid, leg_a, leg_b, streams):
     """Averaged hypotenuse of each sample's first kept construction.
 
-    Sample i has legs ``leg_a[i]`` and ``leg_b[i]``, and ``first`` holds the
-    midpoints, azimuths and acceptances of every sample's first
-    construction.  ``streams`` holds the (count, generator) of each run of
-    consecutive samples, in sample order.  A construction is not kept when
-    its round of candidates accepted none or ``_hypotenuses`` does not keep
-    it; each pending sample then draws one more construction from its own
-    run's generator, in sample order, one ``random`` call per run, and all
-    pending samples are built again together.  A sample rejected
-    _STALL_LIMIT times stalls; the first such sample names the reason.
+    Sample i has legs ``leg_a[i]`` and ``leg_b[i]``.  ``streams`` holds the
+    (count, generator) of each run of consecutive samples, in sample order.
+    Every sample starts pending.  Each round, every run's pending samples
+    draw their base midpoints with one ``sample_points`` call and their
+    azimuths with one ``uniform`` call on the run's generator, in sample
+    order, and all pending samples are built together; a construction that
+    ``_hypotenuses`` does not keep leaves its sample pending.  A sample
+    rejected _STALL_LIMIT times stalls; the first such sample names the
+    reason.
     """
     c = np.empty(len(leg_a))
     pending = np.arange(len(leg_a))
     ends = np.cumsum([count for count, _ in streams])
-    mid, theta, accepted = first
     for _ in range(_STALL_LIMIT):
+        per_run = np.bincount(np.searchsorted(ends, pending, side="right"), minlength=len(ends))
+        draws = [(spheroid.sample_points(k, gen), gen.uniform(0.0, 2.0 * math.pi, k))
+                 for k, (_, gen) in zip(per_run.tolist(), streams) if k]
+        mid, theta = (np.concatenate(part) for part in zip(*draws))
         h, kept = _hypotenuses(spheroid, mid, theta, leg_a[pending], leg_b[pending])
-        kept &= accepted
         c[pending[kept]] = h[kept]
         pending, h = pending[~kept], h[~kept]
         if not pending.size:
             return c
-        per_run = np.bincount(np.searchsorted(ends, pending, side="right"), minlength=len(ends))
-        mid, theta, accepted = _midpoints(spheroid, np.concatenate(
-            [gen.random((k, _ATTEMPT_DRAWS)) for k, (_, gen) in zip(per_run.tolist(), streams)
-             if k]))
     raise SamplingStalled("geodesic construction kept failing" if math.isnan(h[0])
                           else "hypotenuse asymmetry kept exceeding 0.5%")
 
@@ -183,8 +145,7 @@ def sample_spheroid_triangle(spheroid, leg_a, leg_b, rng):
         raise ValueError("legs must be positive")
     if max(leg_a, leg_b) >= _quarter_minor_circumference(spheroid):
         raise ValueError("legs must stay below a quarter of the minor circumference")
-    c = _retried_hypotenuses(spheroid, np.array([leg_a]), np.array([leg_b]),
-                             _midpoints(spheroid, rng.random((1, _ATTEMPT_DRAWS))), [(1, rng)])
+    c = _retried_hypotenuses(spheroid, np.array([leg_a]), np.array([leg_b]), [(1, rng)])
     return TriangleSample(a=leg_a, b=leg_b, c=float(c[0]))
 
 
@@ -192,24 +153,15 @@ def _triangles(spheroid, leg_range, streams):
     """The triangles of every chunk, with legs from ``leg_range``, built as arrays.
 
     ``streams`` holds each chunk's (count, generator), in chunk order.  One
-    ``random`` call per chunk takes each sample's two legs and the
-    _ATTEMPT_DRAWS of its first construction, which are turned into legs and
-    a midpoint at once, so only one chunk's block of uniforms is held.  Then
-    every sample is built together, and the samples whose construction is
-    not kept draw again from their chunk's generator, in
-    ``_retried_hypotenuses``.  A generator: nothing is drawn before the
-    first triangle is asked for, and then every triangle is built.
+    ``uniform`` call per chunk draws each sample's two legs; then every
+    sample's construction is drawn and built together, round after round, in
+    ``_retried_hypotenuses``.  A generator: nothing is drawn before the first
+    triangle is asked for, and then every triangle is built.
     """
     if not streams:
         return
-    legs, first = [], []
-    for count, gen in streams:
-        u = gen.random((count, 2 + _ATTEMPT_DRAWS))
-        legs.append(uniform_from(u[:, :2], *leg_range))
-        first.append(_midpoints(spheroid, u[:, 2:]))
-    legs = np.concatenate(legs)
-    first = [np.concatenate(part) for part in zip(*first)]
-    c = _retried_hypotenuses(spheroid, legs[:, 0], legs[:, 1], first, streams)
+    legs = np.concatenate([gen.uniform(*leg_range, (count, 2)) for count, gen in streams])
+    c = _retried_hypotenuses(spheroid, legs[:, 0], legs[:, 1], streams)
     for a, b, h in zip(legs[:, 0].tolist(), legs[:, 1].tolist(), c.tolist()):
         yield TriangleSample(a=a, b=b, c=h)
 
@@ -275,15 +227,7 @@ def estimate_earth_radius(spheroid=None, n_samples=10**4, leg_range=DEFAULT_LEG_
     radii = np.asarray([radius_from_curvature(k) for k in ks if k > 0], dtype=np.float64)
     neg, other = len(ks) - radii.size, sum(rejected.values())
     require_accepted(radii.size, n_samples, {**rejected, "non_positive_k": neg})
-    mean, standard_error = mean_and_standard_error(radii)
-    report = EarthRadiusReport(
-        radii=radii,
-        mean=mean,
-        standard_error=standard_error,
-        rejected_negative_k=neg,
-        rejected_other=other,
-        leg_range=tuple(leg_range),
-    )
-    if max_length_scale is not None:
-        report.ks_distance = ks_distance_to_expected(radii)
-    return report
+    ks_distance = None if max_length_scale is None else ks_distance_to_expected(radii)
+    return EarthRadiusReport(radii, *mean_and_standard_error(radii), rejected_negative_k=neg,
+                             rejected_other=other, ks_distance=ks_distance,
+                             leg_range=tuple(leg_range))

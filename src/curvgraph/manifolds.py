@@ -25,12 +25,12 @@ from .errors import (
     SpheroidNonConvergence,
     UnsupportedManifold,
 )
-from .rng import uniform_from
 
 _REJECTION_CAP = 10**6
-# a rejection round draws at least this many candidates: one spheroid point
-# takes one round of this many unless none of them is accepted
-MIN_CANDIDATES = 64
+# a spheroid rejection round draws at least this many candidates
+_MIN_CANDIDATES = 64
+# largest hyperbolic R/k with cosh(R/k)^2 finite
+_MAX_HYPERBOLIC_RATIO = math.acosh(math.sqrt(sys.float_info.max))
 
 
 class Manifold:
@@ -38,10 +38,12 @@ class Manifold:
 
     ``params`` names the constructor's arguments, in order; each is stored
     as the attribute of that name and is a key of the JSON form.
+    ``coordinate_width`` is the number of coordinates of one point.
     """
 
     kind = None
     params = ()
+    coordinate_width = 2
 
     def sample_points(self, n, rng):
         """Draw ``n`` points uniformly w.r.t. the area/volume measure."""
@@ -114,7 +116,6 @@ def _flat(shape, *arrays):
 class _EmbeddedSphere(Manifold):
     """Round sphere represented by embedding coordinates (chart-free)."""
 
-    dim_embed = None
     params = ("radius",)
 
     def __init__(self, radius):
@@ -125,7 +126,7 @@ class _EmbeddedSphere(Manifold):
             raise ValueError(f"radius must have a finite normal square, got {radius}")
 
     def sample_points(self, n, rng):
-        v = rng.normal(size=(n, self.dim_embed))
+        v = rng.normal(size=(n, self.coordinate_width))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         return v * self.radius
 
@@ -136,7 +137,7 @@ class _EmbeddedSphere(Manifold):
         r = self.radius
         u = np.asarray(p) / (r * r)
         dot = qs[:, 0] * u[..., 0]
-        for k in range(1, self.dim_embed):
+        for k in range(1, self.coordinate_width):
             dot += qs[:, k] * u[..., k]
         return r * np.arccos(np.clip(dot, -1.0, 1.0))
 
@@ -150,7 +151,7 @@ class _EmbeddedSphere(Manifold):
 
 class Sphere2(_EmbeddedSphere):
     kind = "sphere2"
-    dim_embed = 3
+    coordinate_width = 3
 
     def direct(self, p, azimuth, s):
         r = self.radius
@@ -170,7 +171,7 @@ class Sphere2(_EmbeddedSphere):
 
 class Sphere3(_EmbeddedSphere):
     kind = "sphere3"
-    dim_embed = 4
+    coordinate_width = 4
 
 
 class HyperbolicDisk(Manifold):
@@ -186,6 +187,10 @@ class HyperbolicDisk(Manifold):
         _check_positive(curvature_scale=curvature_scale, disk_radius=disk_radius)
         self.curvature_scale = float(curvature_scale)
         self.disk_radius = float(disk_radius)
+        # distances multiply cosh(r/k) of two points, so cosh(R/k)^2 must be a float
+        if not self.disk_radius / self.curvature_scale < _MAX_HYPERBOLIC_RATIO:
+            raise ValueError(f"disk_radius {disk_radius} / curvature_scale {curvature_scale} must "
+                             f"be below {_MAX_HYPERBOLIC_RATIO:.6g}, where cosh(R/k)^2 overflows")
 
     def sample_points(self, n, rng):
         k, R = self.curvature_scale, self.disk_radius
@@ -287,36 +292,30 @@ class Spheroid(Manifold):
         b_over_a = self.polar_radius / self.equatorial_radius
         return 1.0 - b_over_a * b_over_a
 
-    def candidates(self, u):
-        """Rejection-sampling candidates from uniforms ``u`` of shape (..., 3, k).
+    def sample_points(self, n, rng):
+        """Rejection sampling against the surface-area element in geodetic latitude.
 
-        The three rows hold k latitude, longitude and acceptance draws of
-        ``Generator.random``; returns the latitudes, the longitudes and
-        whether each candidate is accepted.  Acceptance is against the
-        surface-area element in geodetic latitude, dA ~ cos(lat) / (1 - e^2
-        sin^2 lat)^2, under the always-valid envelope 1/(1-e^2)^2.
+        Candidates are uniform in latitude and longitude, and one is accepted
+        with probability dA ~ cos(lat) / (1 - e^2 sin^2 lat)^2 under the
+        always-valid envelope 1/(1-e^2)^2.  Each round draws its latitudes,
+        longitudes and acceptances with one ``uniform`` call each.
         """
         e2 = self.eccentricity_sq
-        lat = uniform_from(u[..., 0, :], -math.pi / 2, math.pi / 2)
-        lon = uniform_from(u[..., 1, :], 0.0, 2.0 * math.pi)
-        dens = np.cos(lat) / (1.0 - e2 * np.sin(lat) ** 2) ** 2
-        return lat, lon, uniform_from(u[..., 2, :], 0.0, 1.0 / (1.0 - e2) ** 2) <= dens
-
-    def sample_points(self, n, rng):
         out = np.empty((n, 2))
         filled = 0
         attempts = 0
         while filled < n:
-            batch = max(MIN_CANDIDATES, 2 * (n - filled))
+            batch = max(_MIN_CANDIDATES, 2 * (n - filled))
             attempts += batch
             if attempts > _REJECTION_CAP + batch:
                 raise SamplingFailure("spheroid rejection sampling exceeded attempt cap")
-            lat, lon, keep = self.candidates(rng.random((3, batch)))
-            take = min(int(keep.sum()), n - filled)
-            sel = np.nonzero(keep)[0][:take]
-            out[filled : filled + take, 0] = lat[sel]
-            out[filled : filled + take, 1] = lon[sel]
-            filled += take
+            lat = rng.uniform(-math.pi / 2, math.pi / 2, batch)
+            lon = rng.uniform(0.0, 2.0 * math.pi, batch)
+            dens = np.cos(lat) / (1.0 - e2 * np.sin(lat) ** 2) ** 2
+            sel = np.flatnonzero(rng.uniform(0.0, 1.0 / (1.0 - e2) ** 2, batch) <= dens)
+            sel = sel[: n - filled]
+            out[filled : filled + sel.size] = np.column_stack([lat[sel], lon[sel]])
+            filled += sel.size
         return out
 
     def distance(self, p, q):

@@ -413,6 +413,16 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
     (tmp_path / "neg.json").write_text((tmp_path / "ok.json").read_text())
     (tmp_path / "tri.edges").write_text("3 3\n0 1\n0 2\n1 2\n")
     (tmp_path / "tri.json").write_text((tmp_path / "ok.json").read_text())
+    # coordinates one too narrow or too wide for the manifold
+    widths = {"sphere2": (2, 4), "sphere3": (3, 5), "hyperbolic": (1, 3)}
+    for kind, (narrow, wide) in widths.items():
+        params = {"type": kind, "radius": 1.0} if kind != "hyperbolic" else {
+            "type": kind, "curvature_scale": 1.0, "disk_radius": 1.0}
+        for width in (narrow, wide):
+            (tmp_path / f"{kind}{width}.edges").write_text("3 2\n0 1\n1 2\n")
+            (tmp_path / f"{kind}{width}.json").write_text(json.dumps(
+                {**sidecar, "manifold": params, "effective_edge_length": 0.5,
+                 "coordinates": [[0.5] * width] * 3}))
     # two disjoint 4 x 4 grids
     grid = [(r * 4 + c, r * 4 + c + step) for r in range(4) for c in range(4)
             for step, fits in ((1, c < 3), (4, r < 3)) if fits]
@@ -432,7 +442,10 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
                  ("distortion", "--graph", tmp_path / "typed", "--seed", 1),
                  (*per_vertex, "--max-length", 1.0),
                  (*per_vertex, "--csv", tmp_path / "pv.csv"),
-                 (*per_vertex, "--include-samples")]:
+                 (*per_vertex, "--include-samples"),
+                 *[(command, "--graph", tmp_path / f"{kind}{width}", *more, "--seed", 1)
+                   for kind, pair in widths.items() for width in pair
+                   for command, *more in (("distortion",), ("curvature", "--samples", 2))]]:
         err = cli_error(*args)
         assert err["error"] == "InvalidInput", err
     # out-of-range values: a negative edge endpoint, a fractal sample count below 1,
@@ -460,6 +473,7 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
     (tmp_path / "le320.edges").write_text(tiny.with_suffix(".edges").read_text())
     (tmp_path / "le320.json").write_text(json.dumps(
         {**json.loads(tiny.with_suffix(".json").read_text()), "effective_edge_length": 1e-320}))
+    overflow = " must be below 355.585, where cosh(R/k)^2 overflows"
     no_float = ("0 of 20 samples accepted, below the minimum of 10 for a meaningful report "
                 "(rejections: {'root_not_found': 19, 'triangle_inequality': 1})")
     for args, error, message in [
@@ -558,6 +572,17 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
          "TooFewAccepted", no_float),
         (("curvature", "--graph", tmp_path / "le320", "--samples", 20, "--seed", 1),
          "TooFewAccepted", no_float),
+        # the same lengths per vertex: no vertex keeps a sample, and the summed
+        # rejections are named
+        (("curvature", "--graph", tiny_graph_prefixes["tiny_le"], "--samples", 2,
+          "--per-vertex", "--seed", 1),
+         "TooFewAccepted", "0 of 120 samples accepted, so no vertex of 60 has a curvature "
+                           "(rejections: {'root_not_found': 111, 'triangle_inequality': 9})"),
+        # a hyperbolic disk whose cosh(R/k)^2 is no float, refused before any point is drawn
+        ((*sprinkle, '{"type":"hyperbolic","curvature_scale":1.0,"disk_radius":1000}'),
+         "ValueError", "disk_radius 1000 / curvature_scale 1.0" + overflow),
+        ((*sprinkle, '{"type":"hyperbolic","curvature_scale":0.01,"disk_radius":3.6}'),
+         "ValueError", "disk_radius 3.6 / curvature_scale 0.01" + overflow),
     ]:
         err = cli_error(*args)
         assert (err["error"], err["message"]) == (error, message)

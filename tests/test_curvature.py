@@ -476,9 +476,12 @@ def test_default_hop_window():
 
 
 def test_vertex_curvature_small_graph_absent():
+    # too small for the window: no vertex has a sample, and the error says why
     g = cycle(6)
-    out = vertex_curvature(g, 1.0, 2, 3, 3, np.random.default_rng(1))
-    assert np.all(np.isnan(out))  # too small for the window
+    message = (r"0 of 12 samples accepted, so no vertex of 6 has a curvature "
+               r"\(rejections: \{'no_candidate': 12\}\)")
+    with pytest.raises(TooFewAccepted, match=message):
+        vertex_curvature(g, 1.0, 2, 3, 3, np.random.default_rng(1))
 
 
 def test_vertex_curvature_adjacent_smoothness():

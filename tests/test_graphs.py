@@ -16,8 +16,14 @@ from curvgraph import (
     load_edge_list,
     save_edge_list,
 )
-from curvgraph.errors import Disconnected
-from curvgraph.graphs import _hop_distances
+from curvgraph.errors import Disconnected, InvalidInput
+from curvgraph.graphs import (
+    GeometricGraph,
+    _hop_distances,
+    load_geometric_graph,
+    save_geometric_graph,
+)
+from curvgraph.manifolds import EuclideanDisk, HyperbolicDisk, Sphere2, Sphere3, Spheroid
 
 
 def cycle(n):
@@ -239,3 +245,22 @@ def test_edge_list_bytes(tmp_path, g, text):
     p = tmp_path / "g.edges"
     save_edge_list(g, p)
     assert p.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("manifold, width", [
+    (Sphere2(1.0), 3), (Sphere3(1.0), 4), (HyperbolicDisk(1.0, 2.0), 2),
+    (EuclideanDisk(1.0), 2), (Spheroid(6378.0, 6357.0), 2),
+])
+def test_sidecar_coordinate_width(tmp_path, manifold, width):
+    # a sidecar loads only with one point of the manifold's width per vertex
+    points = manifold.sample_points(3, np.random.default_rng(0))
+    assert manifold.coordinate_width == width == points.shape[1]
+    for k, coordinates in enumerate([points, points[:, :-1], np.hstack([points, points[:, :1]])]):
+        prefix = tmp_path / f"g{k}"
+        save_geometric_graph(GeometricGraph(path(3), manifold, coordinates, 1.0, 0.25), prefix)
+        if k == 0:
+            assert np.array_equal(load_geometric_graph(prefix).coordinates, points)
+            continue
+        with pytest.raises(InvalidInput, match=rf"{manifold.kind} coordinates shaped "
+                                               rf"\(3, {width + 2 * k - 3}\), not \(3, {width}\)"):
+            load_geometric_graph(prefix)
