@@ -50,6 +50,7 @@ from scipy.stats import trim_mean
 
 from .errors import (
     Disconnected,
+    InvalidInput,
     NoCandidate,
     RootNotFound,
     TooFewAccepted,
@@ -338,7 +339,7 @@ def sample_triangle(g, l_e, s_min_hops, s_max_hops, rng, apex=None):
 def _triangle(g, l_e, s_min_hops, s_max_hops, rng, apex_row=None):
     """sample_triangle's search; ``apex_row`` is a fixed apex and its hop row, or None."""
     if not 2 <= s_min_hops <= s_max_hops:
-        raise ValueError("need 2 <= s_min_hops <= s_max_hops")
+        raise InvalidInput(f"need 2 <= s_min_hops <= s_max_hops, got ({s_min_hops}, {s_max_hops})")
     c_min = math.ceil(math.sqrt(2.0) * s_min_hops)
     n = g.vertex_count
     for _ in range(_RETRIES):
@@ -439,7 +440,8 @@ def estimate_curvature(g, l_e, n_samples, s_min_hops=None, s_max_hops=None,
     sub-stream spawned from ``rng``, and merged in chunk order, so the
     result depends only on ``rng`` and the arguments.  Samples whose
     construction or root solve fails are tallied by reason, not propagated.
-    A missing hop-window end comes from :func:`default_hop_window`.
+    A missing hop-window end comes from :func:`default_hop_window`; a
+    window that is empty, or starts below 2, raises InvalidInput.
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")

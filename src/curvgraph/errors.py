@@ -6,7 +6,7 @@ class CurvGraphError(Exception):
 
 
 class InvalidInput(CurvGraphError, ValueError):
-    """A file or JSON argument does not have the documented form."""
+    """An argument, file or JSON input does not have the documented form or range."""
 
 
 class SpheroidNonConvergence(CurvGraphError):

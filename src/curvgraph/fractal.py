@@ -60,10 +60,11 @@ class SierpinskiGraph:
         self._pairs = None
 
     def all_hops(self):
-        """Exact all-pairs hop distances (cached); levels <= 6 only."""
+        """Exact all-pairs hop distances, as int32 BFS rows (cached); levels <= 6 only."""
         require_all_pairs(self.level)
         if self._hops is None:
-            self._hops = _hop_distances(self.graph).astype(np.int32)
+            rows = [_hop_distances(self.graph, s) for s in range(self.graph.vertex_count)]
+            self._hops = np.array(rows, dtype=np.int32)
         return self._hops
 
     def symmetries(self):

@@ -5,16 +5,14 @@ sorted neighbour lists.  Hop counts are the combinatorial metric used by
 every estimator: exact unweighted shortest-path lengths from one kernel,
 :func:`_hop_distances`, which every hop read goes through.  Callers take
 them one source row at a time with :func:`bfs_hops`, so no all-pairs
-matrix is materialized for large graphs.  A row is scipy's breadth-first
-order from the source, cut into levels by counting each level's
-children; on the V = 5000 perfbench graphs (2-core x86-64 host) the
-order takes about 240 µs and the split about 90 µs more.  Only the small
-Sierpinski graphs ask for all pairs, which come from one scipy
-shortest-path call over every source; it is not faster than a loop of
-rows there (see :func:`_hop_distances`).  Because the stored matrix
-already holds both orientations of each edge, both searches run as
-directed, which is exact here and skips a symmetrisation on every call.
-Graphs are immutable after construction.
+matrix is materialized for large graphs; the small Sierpinski graphs
+stack their all-pairs matrix from the same rows.  A row is scipy's
+breadth-first order from the source, cut into levels by counting each
+level's children; on the V = 5000 perfbench graphs (2-core x86-64 host)
+the order takes about 240 µs and the split about 90 µs more.  Because
+the stored matrix already holds both orientations of each edge, the
+search runs as directed, which is exact here and skips a symmetrisation
+on every call.  Graphs are immutable after construction.
 """
 
 import json
@@ -24,7 +22,7 @@ import warnings
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, dijkstra
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import Disconnected, InvalidInput
 from .manifolds import manifold_from_json
@@ -81,27 +79,18 @@ class Graph:
         return f"Graph(V={self.vertex_count}, E={self.edge_count})"
 
 
-def _hop_distances(g, source=None):
-    """Hop counts as uint32, :data:`UNREACHABLE` where there is no path.
+def _hop_distances(g, source):
+    """Hop counts from ``source`` as uint32, :data:`UNREACHABLE` where there is no path.
 
-    The package's one hop kernel: the row from ``source``, or the
-    all-pairs matrix when ``source`` is None.  A row is scipy's
-    breadth-first order, which lists the reached vertices level by level,
-    split into levels by child counts: level k + 1 is the children of
-    level k and comes right after it, so when level k ends at position
-    ``end`` of the order, level k + 1 ends at one plus the number of
-    children of the first ``end`` vertices.  The split costs about 0.4 of
-    the breadth-first order itself.  All pairs come from one ``dijkstra``
-    call over every source.  That is no faster than a loop of rows on the
-    Sierpinski graphs that ask for them: on a 2-core x86-64 host it takes
-    11-14 ms against 12-14 ms at level 5, and 111-119 ms against 64-93 ms
-    at level 6.  Both searches run as directed, which is exact because the
-    adjacency holds both orientations of every edge.
+    The package's one hop kernel.  The row is scipy's breadth-first
+    order, which lists the reached vertices level by level, split into
+    levels by child counts: level k + 1 is the children of level k and
+    comes right after it, so when level k ends at position ``end`` of the
+    order, level k + 1 ends at one plus the number of children of the
+    first ``end`` vertices.  The split costs about 0.4 of the
+    breadth-first order itself.  The search runs as directed, which is
+    exact because the adjacency holds both orientations of every edge.
     """
-    if source is None:
-        d = dijkstra(g.adjacency, directed=True, unweighted=True)
-        d[np.isinf(d)] = UNREACHABLE
-        return d.astype(np.uint32)
     order, parents = breadth_first_order(g.adjacency, source, directed=True,
                                          return_predecessors=True)
     order = order.astype(np.intp)

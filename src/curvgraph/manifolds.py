@@ -108,6 +108,14 @@ def _check_positive(**lengths):
             raise ValueError(f"{name} must be finite and strictly positive, got {value}")
 
 
+def _check_square(name, value, scale=1.0):
+    """Refuse a length whose ``scale`` multiple has no finite normal square."""
+    length = scale * value
+    if not sys.float_info.min <= length * length < math.inf:
+        what = "square" if scale == 1.0 else f"square of {scale:g} * {name}"
+        raise ValueError(f"{name} must have a finite normal {what}, got {value}")
+
+
 def _flat(shape, *arrays):
     """Each array broadcast to ``shape`` and flattened to a float64 vector."""
     return [np.broadcast_to(np.asarray(x, dtype=np.float64), shape).ravel() for x in arrays]
@@ -122,8 +130,7 @@ class _EmbeddedSphere(Manifold):
         _check_positive(radius=radius)
         self.radius = float(radius)
         # distances divide by radius**2, which must neither underflow nor overflow
-        if not sys.float_info.min <= self.radius * self.radius < math.inf:
-            raise ValueError(f"radius must have a finite normal square, got {radius}")
+        _check_square("radius", radius)
 
     def sample_points(self, n, rng):
         v = rng.normal(size=(n, self.coordinate_width))
@@ -237,6 +244,8 @@ class EuclideanDisk(Manifold):
     def __init__(self, radius):
         _check_positive(radius=radius)
         self.radius = float(radius)
+        # a norm squares coordinate differences up to the diameter
+        _check_square("radius", radius, 2.0)
 
     def sample_points(self, n, rng):
         r = self.radius * np.sqrt(rng.random(n))
@@ -282,6 +291,9 @@ class Spheroid(Manifold):
         if self.eccentricity_sq == 1.0:
             raise ValueError(f"spheroid too flat: 1 - e^2 rounds to 0 for equatorial_radius "
                              f"{self.equatorial_radius} and polar_radius {self.polar_radius}")
+        # the geodesics take a^2 - b^2 and divide by b^2
+        _check_square("equatorial_radius", equatorial_radius)
+        _check_square("polar_radius", polar_radius)
 
     @property
     def flattening(self):

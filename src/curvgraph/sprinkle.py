@@ -4,13 +4,15 @@ Points sampled uniformly on a manifold are connected when their geodesic
 distance d satisfies |d - l| <= l * p for a connection length l and
 tolerance p.  The minimal l giving a connected graph is located by binary
 search; because connectivity is not monotone in l for an annulus rule, the
-search keeps the smallest connected l seen and then verifies the bracket
-property on the exact distances.
+search keeps the smallest connected l seen and then walks it down until the
+bracket property holds.
 
 No pairwise distance matrix is formed: the search and the builder read one
 :class:`CandidatePairs` table, the pairs within the longest length probed,
 sorted by distance, so each probe's edges are one slice of it.
 """
+
+import math
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -23,19 +25,18 @@ from .graphs import GeometricGraph, Graph
 DEFAULT_TOLERANCE = 0.25  # p ~ 0.25 keeps edge counts low at similar distortion
 _BISECT_ITERS = 24
 _BRACKET_REL = 1e-3
-_BRACKET_STEPS = 64  # cap on the upward bracket walk
-# Relative slack on lengths, far above the rounding of float32 distances and
-# of the chart chords: a window or a k-d tree query never misses a pair.
+# Relative slack on lengths, far above the rounding of the distances and of
+# the chart chords: a window or a k-d tree query never misses a pair.
 _PAD_REL = 1e-6
 _WIDEN = 1.25  # a query that must grow covers at least this much more length
 _VERIFY_FRACTION = 0.01  # share of built edges re-checked with the exact distance
 _PAIR_BLOCK = 1 << 15  # candidate pairs per distance call: bounds its temporaries
 
 
-def pairwise_distances(manifold, points, dtype=np.float32):
-    """Full pairwise distance matrix, row by row: the brute-force oracle."""
+def pairwise_distances(manifold, points):
+    """Full float64 pairwise distance matrix, row by row: the brute-force oracle."""
     n = len(points)
-    out = np.empty((n, n), dtype=dtype)
+    out = np.empty((n, n))
     for i in range(n):
         out[i] = manifold.distances_from(points[i], points)
     return out
@@ -50,9 +51,10 @@ class CandidatePairs:
     ``manifold.distances_from(points[i], points[j])`` then give their exact
     distances, bit for bit those of one-source calls (see
     :meth:`Manifold.distances_from`), over blocks of ``_PAIR_BLOCK`` pairs
-    so that their temporaries stay small.  ``d`` holds them in ascending order
-    with ``i``, ``j`` alongside, and ``d32`` is their float32 rounding.
-    The query widens only when a probe asks for a longer length.
+    so that their temporaries stay small.  ``d`` holds these float64
+    distances in ascending order, with ``i``, ``j`` alongside, and every
+    probe reads it.  The query widens only when a probe asks for a longer
+    length.
 
     A connectivity probe first looks for a vertex without an edge, which
     settles most disconnected lengths, and its answer is kept per slice
@@ -63,11 +65,13 @@ class CandidatePairs:
         self.manifold = manifold
         self.points = np.asarray(points, dtype=np.float64)
         self.n = len(self.points)
-        self._tree = cKDTree(manifold.chart(self.points)) if self.n > 1 else None
+        # chart lengths in a power-of-two unit near the chart's extent: exact, and the
+        # tree's squared radii stay finite at any manifold scale
+        self._unit = 2.0 ** -math.frexp(manifold.chord_bound(manifold.diameter()))[1]
+        self._tree = cKDTree(self._unit * manifold.chart(self.points)) if self.n > 1 else None
         self.reach = 0.0
         self.i = self.j = np.empty(0, dtype=np.intp)
         self.d = np.empty(0, dtype=np.float64)
-        self.d32 = self.d.astype(np.float32)
         self._probed = {}  # (a, b) -> connectivity of the slice's edges
 
     def _cover(self, length):
@@ -76,7 +80,7 @@ class CandidatePairs:
             return
         length = max(length, _WIDEN * self.reach)
         radius = self.manifold.chord_bound(length + _PAD_REL * self.manifold.diameter())
-        ij = self._tree.query_pairs(radius * (1.0 + _PAD_REL), output_type="ndarray")
+        ij = self._tree.query_pairs(self._unit * radius * (1.0 + _PAD_REL), output_type="ndarray")
         d = np.empty(len(ij))
         for s in range(0, len(ij), _PAIR_BLOCK):
             i, j = ij[s : s + _PAIR_BLOCK].T
@@ -84,37 +88,35 @@ class CandidatePairs:
         keep = np.flatnonzero(d <= length)
         keep = keep[np.argsort(d[keep])]
         self.i, self.j, self.d = ij[keep, 0], ij[keep, 1], d[keep]
-        self.d32 = self.d.astype(np.float32)
         self.reach = length
         self._probed.clear()  # slice bounds index the old table
 
-    def _window(self, l, p, exact):
+    def _window(self, l, p):
         """The slice [a, b) of the table holding the pairs with |d - l| <= l * p.
 
         Rounding is monotone, so ``d - l`` is nondecreasing along the sorted
-        table and the pairs that pass form one run, in float64 and on the
-        float32 copy alike; the padded search only bounds where it can lie.
+        table and the pairs that pass form one run; the padded search only
+        bounds where it can lie.
         """
         pad = _PAD_REL * l
         hi = l * (1.0 + p) + pad
         self._cover(hi)
         a = np.searchsorted(self.d, l * (1.0 - p) - pad, side="left")
         b = np.searchsorted(self.d, hi, side="right")
-        d = self.d[a:b] if exact else self.d32[a:b]
-        hit = np.flatnonzero(np.abs(d - l) <= l * p)
+        hit = np.flatnonzero(np.abs(self.d[a:b] - l) <= l * p)
         return (a + hit[0], a + hit[-1] + 1) if hit.size else (a, a)
 
-    def edges(self, l, p, exact=True):
-        """Pairs (u, v) with |d - l| <= l * p, in float64 or on the float32 copy.
+    def edges(self, l, p):
+        """Pairs (u, v) with |d - l| <= l * p.
 
         The arrays are views of the table, ordered by distance.
         """
-        a, b = self._window(l, p, exact)
+        a, b = self._window(l, p)
         return self.i[a:b], self.j[a:b]
 
-    def connected(self, l, p, exact=True):
+    def connected(self, l, p):
         """Connectivity of the annulus graph at length l."""
-        window = self._window(l, p, exact)
+        window = self._window(l, p)
         if window not in self._probed:
             self._probed[window] = self._slice_connected(*window)
         return self._probed[window]
@@ -170,13 +172,11 @@ def min_connection_length(manifold, points, p, *, pairs=None):
     therefore first scans a uniform grid of 24 intervals over
     [0, diameter] for the lowest connected length, then bisects between
     that grid point and its disconnected predecessor, retaining the
-    smallest connected l seen; both read the float32-rounded distances.
-    The result is finally walked in relative steps of 1e-3 until the
-    bracket property holds on the exact (float64) edge rule: connected at
-    l, not connected at l * (1 - 1e-3).  The upward walk gives up with
-    :class:`NoConnectedLength` after 64 steps.  ``pairs`` is a
-    :class:`CandidatePairs` of these points to search (one is made when
-    absent).
+    smallest connected l seen.  The result is finally walked down in
+    relative steps of 1e-3 until the bracket property holds: connected at
+    l, not connected at l * (1 - 1e-3).  Every probe reads the float64
+    distances.  ``pairs`` is a :class:`CandidatePairs` of these points to
+    search (one is made when absent).
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("tolerance p must be in (0, 1]")
@@ -191,7 +191,7 @@ def min_connection_length(manifold, points, p, *, pairs=None):
     best = None
     lo = 0.0
     for l in grid:
-        if pairs.connected(l, p, exact=False):
+        if pairs.connected(l, p):
             best = l
             break
         lo = l
@@ -200,27 +200,14 @@ def min_connection_length(manifold, points, p, *, pairs=None):
             f"no connection length in (0, {diam:.6g}] yields a connected graph",
             best_length=grid[-1],
         )
-    hi = best
     for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if pairs.connected(mid, p, exact=False):
-            best = min(best, mid)
-            hi = mid
+        mid = 0.5 * (lo + best)
+        if pairs.connected(mid, p):
+            best = mid
         else:
             lo = mid
 
-    # Bracket verification on the exact distances; the float32 search can
-    # disagree on borderline edges.
-    start = best
-    for _ in range(_BRACKET_STEPS):
-        if pairs.connected(best, p):
-            break
-        best *= 1.0 + _BRACKET_REL
-    else:
-        raise NoConnectedLength(
-            f"not connected within {_BRACKET_STEPS} steps of {_BRACKET_REL} above {start:.9g}",
-            best_length=best,
-        )
+    # best only ever takes a length that probed connected
     while pairs.connected(best * (1.0 - _BRACKET_REL), p):
         best *= 1.0 - _BRACKET_REL
         if best * (1.0 + p + _PAD_REL) < pairs.shortest_positive():

@@ -171,6 +171,17 @@ def test_converge_schema(tmp_path):
     assert [p["meanDistortion"] for p in payload["points"]] == [None, None]
 
 
+def test_converge_two_vertex_count():
+    # two points make a graph of hop diameter 1, whose default hop window is
+    # empty: the sweep records the failure and goes on
+    proc = run_cli("converge", "--manifold", '{"type":"sphere2","radius":1.0}',
+                   "--true-k", 1, "--counts", "2,200", "--seeds-per", 1,
+                   "--samples", 20, "--seed", 1)
+    payload = json.loads(proc.stdout)
+    validate(payload, "sweep_report")
+    assert [(p["vertexCount"], p["failures"]) for p in payload["points"]] == [(2, 1), (200, 0)]
+
+
 def test_fractal_exact_and_sampled(tmp_path):
     exact = run_cli("fractal", "--level", 2, "--exact", "--seed", 1,
                     "--out", tmp_path / "f2")
@@ -465,6 +476,7 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
     one_graph = ("--counts", 200, "--seeds-per", 1)
     counts = "--counts must be a non-empty comma-separated list of integers >= 2, got "
     square = "radius must have a finite normal square, got "
+    doubled = "radius must have a finite normal square of 2 * radius, got "
     hop_window = "--smin and --smax leave the empty hop window (s_min, s_max) = "
     default = "; an end not given is this graph's default"
     # stored edge lengths so small that the curvature, of order 1 / l_e^2, is no float:
@@ -475,7 +487,7 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
         {**json.loads(tiny.with_suffix(".json").read_text()), "effective_edge_length": 1e-320}))
     overflow = " must be below 355.585, where cosh(R/k)^2 overflows"
     no_float = ("0 of 20 samples accepted, below the minimum of 10 for a meaningful report "
-                "(rejections: {'root_not_found': 19, 'triangle_inequality': 1})")
+                "(rejections: {'root_not_found': 20})")
     for args, error, message in [
         (("distortion", "--graph", tmp_path / "neg", "--seed", 1),
          "ValueError", "edge endpoint out of range"),
@@ -512,6 +524,20 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
         ((*sprinkle, '{"type":"sphere2","radius":1e308}'), "ValueError", square + "1e+308"),
         ((*sprinkle, '{"type":"sphere2","radius":1' + "0" * 400 + "}"), "ValueError",
          "radius must be finite and strictly positive, got 1" + "0" * 400),
+        # a disk whose diameter, or a spheroid whose axis, has a square that is no
+        # finite normal float: just past each bound, and far past it
+        ((*sprinkle, '{"type":"euclidean","radius":1e-160}'), "ValueError", doubled + "1e-160"),
+        ((*sprinkle, '{"type":"euclidean","radius":7.4e-155}'), "ValueError",
+         doubled + "7.4e-155"),
+        ((*sprinkle, '{"type":"euclidean","radius":6.71e153}'), "ValueError",
+         doubled + "6.71e+153"),
+        ((*sprinkle, '{"type":"euclidean","radius":1e160}'), "ValueError", doubled + "1e+160"),
+        ((*sprinkle, '{"type":"spheroid","equatorial_radius":1.35e154,"polar_radius":1e154}'),
+         "ValueError", "equatorial_" + square + "1.35e+154"),
+        ((*sprinkle, '{"type":"spheroid","equatorial_radius":2e-154,"polar_radius":1.4e-154}'),
+         "ValueError", "polar_" + square + "1.4e-154"),
+        ((*earth, "--equatorial", 1e-300, "--polar", 1e-300), "ValueError",
+         "equatorial_" + square + "1e-300"),
         # checked before the graph is loaded: the second graph does not exist
         ((*wolfram, -5, "--graph", tmp_path / "ok"), "InvalidInput",
          "--vertices must be at least 1, got -5"),
@@ -577,7 +603,7 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
         (("curvature", "--graph", tiny_graph_prefixes["tiny_le"], "--samples", 2,
           "--per-vertex", "--seed", 1),
          "TooFewAccepted", "0 of 120 samples accepted, so no vertex of 60 has a curvature "
-                           "(rejections: {'root_not_found': 111, 'triangle_inequality': 9})"),
+                           "(rejections: {'root_not_found': 115, 'triangle_inequality': 5})"),
         # a hyperbolic disk whose cosh(R/k)^2 is no float, refused before any point is drawn
         ((*sprinkle, '{"type":"hyperbolic","curvature_scale":1.0,"disk_radius":1000}'),
          "ValueError", "disk_radius 1000 / curvature_scale 1.0" + overflow),

@@ -23,6 +23,7 @@ from curvgraph import (
 )
 from curvgraph.curvature import _RETRIES, CurvatureReport, TriangleSample
 from curvgraph.errors import (
+    InvalidInput,
     NoCandidate,
     RootNotFound,
     TooFewAccepted,
@@ -458,6 +459,14 @@ def test_estimate_curvature_deterministic_and_thread_invariant():
     r2 = estimate_curvature(gg.graph, le, 60, rng=np.random.default_rng(5))
     assert np.array_equal(r1.samples, r2.samples)
     assert r1.rejected == r2.rejected
+
+
+def test_estimators_refuse_empty_hop_window():
+    # a graph of hop diameter 1 has the default window (2, 1): no triangle fits
+    g = Graph(2, [0], [1])
+    for estimate in (partial(estimate_curvature, g, 0.1, 5), partial(vertex_curvature, g, 0.1, 5)):
+        with pytest.raises(InvalidInput, match=r"s_max_hops, got \(2, 1\)$"):
+            estimate(rng=np.random.default_rng(7))
 
 
 def test_estimate_curvature_max_length_scale():

@@ -17,12 +17,8 @@ from curvgraph import (
     save_edge_list,
 )
 from curvgraph.errors import Disconnected, InvalidInput
-from curvgraph.graphs import (
-    GeometricGraph,
-    _hop_distances,
-    load_geometric_graph,
-    save_geometric_graph,
-)
+from curvgraph.fractal import SierpinskiGraph
+from curvgraph.graphs import GeometricGraph, load_geometric_graph, save_geometric_graph
 from curvgraph.manifolds import EuclideanDisk, HyperbolicDisk, Sphere2, Sphere3, Spheroid
 
 
@@ -174,14 +170,16 @@ def test_hops_match_python_bfs(graph):
         nbrs = g.neighbors(u).tolist()
         assert nbrs == sorted({v for e in edges if u in e for v in e if v != u})
         assert all(u in g.neighbors(v) for v in nbrs)
-    all_pairs = _hop_distances(g)
-    assert all_pairs.dtype == np.uint32 and all_pairs.shape == (n, n)
+    # the all-pairs matrix stacks the rows of whatever graph it is given, cast to
+    # int32; level 0 passes its level guard
+    all_pairs = SierpinskiGraph(0, g, (), np.zeros((n, 2), dtype=np.int64)).all_hops()
+    assert all_pairs.dtype == np.int32 and all_pairs.shape == (n, n)
     for s in range(n):
         expect = [UNREACHABLE if h is None else h for h in python_bfs(n, edges, s)]
         row = bfs_hops(g, s)
         assert row.dtype == np.uint32
         assert row.tolist() == expect
-        assert all_pairs[s].tolist() == expect
+        assert np.array_equal(all_pairs[s], row.astype(np.int32))
 
 
 @pytest.mark.parametrize("seed, n", [(0, 200), (1, 700), (2, 2000)])

@@ -25,6 +25,20 @@ def test_manifold_validation():
         Spheroid(6357.0, 6378.0)  # prolate
 
 
+def test_lengths_at_the_square_bounds():
+    # the smallest and largest lengths whose squares in the distance formulas
+    # stay finite and normal (one step past each is refused, see the CLI tests):
+    # distances scale with them
+    for radius in (7.5e-155, 6.7e153):
+        ends = np.array([[-radius, 0.0], [radius, 0.0]])
+        assert EuclideanDisk(radius).distances_from(ends[0], ends[1:])[0] == pytest.approx(
+            2.0 * radius, rel=1e-15)
+    p, q = (0.1, 0.2), (0.9, 2.0)
+    for scale, (a, b) in ((1e-154, (2.0, 1.5)), (1e154, (1.34, 1.0))):
+        assert Spheroid(a * scale, b * scale).distance(p, q) == pytest.approx(
+            scale * Spheroid(a, b).distance(p, q), rel=1e-14)
+
+
 def test_json_round_trip():
     manifolds = [
         Sphere2(2.5),

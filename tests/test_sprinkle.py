@@ -69,7 +69,7 @@ def test_annulus_inequality_exact():
 
 def grid_scan_min_l(m, pts, p, step=1e-3):
     """Independent oracle: scan an l grid, return the smallest connected l."""
-    D = pairwise_distances(m, pts, dtype=np.float64)
+    D = pairwise_distances(m, pts)
     for l in np.arange(step, m.diameter() + step, step):
         adj = np.abs(D - l) <= l * p
         np.fill_diagonal(adj, False)
@@ -129,12 +129,17 @@ def test_no_minimal_length_for_coincident_points():
         min_connection_length(EuclideanDisk(1.0), pts, 1.0)
 
 
-def test_upward_bracket_walk_gives_up(monkeypatch):
-    # float32 probes always connected, exact ones never: 64 steps up, then an error
-    monkeypatch.setattr(CandidatePairs, "connected", lambda self, l, p, exact=True: not exact)
-    m, pts = collinear_points()
-    with pytest.raises(NoConnectedLength):
-        min_connection_length(m, pts, 0.25)
+@pytest.mark.parametrize("m", [Sphere2(1e39), Sphere2(1e150),
+                               EuclideanDisk(7.5e-155), EuclideanDisk(6.7e153),
+                               Sphere2(1.5e-154), Sphere2(1.34e154)])
+def test_bracket_at_extreme_scales(m):
+    # on the first two spheres l (1 + p) passes float32's largest value, 3.4e38;
+    # the others are the smallest and largest radii their manifolds take, which
+    # the k-d tree reaches because it holds the chart in a unit near its extent
+    gg = sprinkle(m, 200, 0.25, rng=np.random.default_rng(49))
+    l = gg.connection_length
+    assert is_connected(gg.graph)
+    assert not is_connected(build_annulus_graph(m, gg.coordinates, l * (1 - 1e-3), 0.25).graph)
 
 
 def test_sprinkle_two_points():
@@ -217,7 +222,7 @@ def point_sets(draw):
 def exact_distances(m, pts):
     """Float64 pairwise distances; a spheroid pair that does not converge rules the case out."""
     try:
-        return pairwise_distances(m, pts, dtype=np.float64)
+        return pairwise_distances(m, pts)
     except SpheroidNonConvergence:
         return None
 
@@ -243,19 +248,18 @@ def dense_connected_at(dist_matrix, l, p):
     return bool(visited.all())
 
 
-def dense_min_connection_length(m, pts, p, D64):
-    """The dense connection-length search that candidate pairs replaced.
+def dense_min_connection_length(m, D64, p):
+    """The connection-length search on the dense float64 matrix.
 
-    Same grid, bisection on the float32 matrix and 1e-3 bracket walks, each
-    walk capped at 64 steps.  Returns (l, whether a walk used up its steps).
+    Same grid, bisection and downward 1e-3 bracket walk, the walk capped at
+    64 steps.  Returns (l, whether the walk used up its steps).
     """
-    D = pairwise_distances(m, pts)
     diam = m.diameter()
     grid = [diam * i / 24 for i in range(1, 25)]
     best = None
     lo = 0.0
     for l in grid:
-        if dense_connected_at(D, l, p):
+        if brute_force_connected(D64, l, p):
             best = l
             break
         lo = l
@@ -264,17 +268,11 @@ def dense_min_connection_length(m, pts, p, D64):
     hi = best
     for _ in range(24):
         mid = 0.5 * (lo + hi)
-        if dense_connected_at(D, mid, p):
+        if brute_force_connected(D64, mid, p):
             best = min(best, mid)
             hi = mid
         else:
             lo = mid
-    for _ in range(64):
-        if brute_force_connected(D64, best, p):
-            break
-        best *= 1.0 + 1e-3
-    else:
-        return best, True
     for _ in range(64):
         lower = best * (1.0 - 1e-3)
         if not brute_force_connected(D64, lower, p):
@@ -309,7 +307,7 @@ def test_min_connection_length_matches_dense_search(case, p):
     if D64 is None:
         return
     try:
-        expected, capped = dense_min_connection_length(m, pts, p, D64)
+        expected, capped = dense_min_connection_length(m, D64, p)
     except NoConnectedLength:
         with pytest.raises(NoConnectedLength):
             min_connection_length(m, pts, p)
@@ -317,7 +315,7 @@ def test_min_connection_length_matches_dense_search(case, p):
     try:
         l = min_connection_length(m, pts, p)
     except NoConnectedLength:
-        # only where the dense search ran out of bracket steps
+        # only where the dense walk ran out of bracket steps
         assert capped
         return
     if not capped:
@@ -327,7 +325,7 @@ def test_min_connection_length_matches_dense_search(case, p):
 
 
 def _probe_oracle(D, l, p):
-    """Edge set and connectivity of the annulus rule on one precision's matrix."""
+    """Edge set and connectivity of the annulus rule on the float64 matrix."""
     iu, ju = np.triu_indices(len(D), 1)
     rule = np.abs(D[iu, ju] - l) <= l * p
     return set(zip(iu[rule].tolist(), ju[rule].tolist())), brute_force_connected(D, l, p)
@@ -349,7 +347,6 @@ def test_probes_match_brute_force(case, first, others, p, pick):
     D64 = exact_distances(m, pts)
     if D64 is None:
         return
-    D32 = D64.astype(np.float32)
     diam = m.diameter()
     lengths = [first * diam, first * diam, *(x * diam for x in others)]
     if len(pts) > 1:
@@ -358,8 +355,7 @@ def test_probes_match_brute_force(case, first, others, p, pick):
         lengths += [d / (1.0 + p), d / (1.0 - p)] if 0.0 < d and p < 1.0 else []
     pairs = CandidatePairs(m, pts)
     for l in [*lengths, diam, first * diam]:
-        for exact, D in ((False, D32), (True, D64)):
-            edges, connected = _probe_oracle(D, l, p)
-            u, v = pairs.edges(l, p, exact)
-            assert u.size == len(edges) and set(zip(u.tolist(), v.tolist())) == edges
-            assert pairs.connected(l, p, exact) == connected
+        edges, connected = _probe_oracle(D64, l, p)
+        u, v = pairs.edges(l, p)
+        assert u.size == len(edges) and set(zip(u.tolist(), v.tolist())) == edges
+        assert pairs.connected(l, p) == connected
