@@ -51,6 +51,20 @@ def validate(payload, schema_name):
 FIXTURE_V = 500
 
 
+def test_cli_import_leaves_out_scipy_stats():
+    """Importing the CLI in a fresh interpreter loads no scipy.stats module.
+
+    scipy.stats alone about doubles the start-up time of every CLI run.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, curvgraph, curvgraph.cli; print(*sys.modules)"],
+        capture_output=True, text=True, env=cli_env(), check=True,
+    )
+    modules = proc.stdout.split()
+    assert "curvgraph.cli" in modules
+    assert [m for m in modules if m.startswith("scipy.stats")] == []
+
+
 @pytest.fixture(scope="module")
 def sphere_graph_prefix(tmp_path_factory):
     prefix = tmp_path_factory.mktemp("cli") / "s500"

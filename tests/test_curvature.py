@@ -5,8 +5,9 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import trim_mean
 
 from curvgraph import (
     Graph,
@@ -21,7 +22,7 @@ from curvgraph import (
     sprinkle,
     vertex_curvature,
 )
-from curvgraph.curvature import _RETRIES, CurvatureReport, TriangleSample
+from curvgraph.curvature import _RETRIES, CurvatureReport, TriangleSample, _trimmed_mean
 from curvgraph.errors import (
     InvalidInput,
     NoCandidate,
@@ -449,6 +450,36 @@ def test_report_statistics_recomputable():
     assert rep.median == pytest.approx(np.median(ks))
     inner = np.sort(ks)[10:190]  # 5% trimmed each tail
     assert rep.trimmed_mean == pytest.approx(inner.mean())
+
+
+_SIGNED_MAGNITUDES = (st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
+                      | st.just(0.0))
+
+
+@st.composite
+def trim_inputs(draw):
+    """1 to 3000 finite float64 values of mixed sign, magnitudes 1e-300 to 1e300, some tied."""
+    n = draw(st.integers(1, 3000))
+    lo, hi = sorted(draw(st.lists(st.integers(-300, 300), min_size=2, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = 10.0 ** rng.uniform(lo, hi, n) * rng.choice([-1.0, 1.0], n)
+    pool = draw(st.lists(_SIGNED_MAGNITUDES, min_size=1, max_size=8))
+    tied = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    x[tied] = rng.choice(pool, int(tied.sum()))
+    return x
+
+
+_TRIM_RNG = np.random.default_rng(71)
+
+
+@settings(max_examples=200, deadline=None)
+@example(np.array([-2.5e-300]))                             # n = 1
+@example(_TRIM_RNG.standard_cauchy(19))                     # n = 19: nothing cut
+@example(np.r_[-1e300, _TRIM_RNG.normal(size=18), 1e300])  # n = 20: one cut from each tail
+@example(np.repeat([-3.0, 0.0, 1e-300, 7.5, 1e300], 120))  # n = 600, five tied values
+@given(trim_inputs())
+def test_trimmed_mean_matches_scipy_bit_for_bit(x):
+    assert _trimmed_mean(x).hex() == float(trim_mean(x, 0.05)).hex()
 
 
 def test_estimate_curvature_deterministic_and_thread_invariant():
