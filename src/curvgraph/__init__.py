@@ -12,9 +12,9 @@ from .curvature import (
     CurvatureReport,
     TriangleSample,
     curvature_from_triangle,
-    default_hop_window,
     estimate_curvature,
     forward_hypotenuse,
+    hop_window,
     ricci_scalar_from_mean_sectional,
     sample_triangle,
     vertex_curvature,

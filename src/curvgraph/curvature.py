@@ -324,13 +324,7 @@ def ricci_scalar_from_mean_sectional(kappa, n):
     return n * (n - 1) * kappa
 
 
-def default_hop_window(g, rng):
-    """(s_min, s_max) hop window from the diameter estimate."""
-    diam = diameter_estimate(g, rng)
-    return max(2, math.ceil(diam / 3)), diam
-
-
-def sample_triangle(g, l_e, s_min_hops, s_max_hops, rng, apex=None):
+def sample_triangle(g, l_e, s_min_hops, s_max_hops, rng, apex_row=None):
     """Construct one approximate right triangle from hop distances.
 
     All three sides are required to reach the minimum hop scale: the
@@ -339,15 +333,11 @@ def sample_triangle(g, l_e, s_min_hops, s_max_hops, rng, apex=None):
     The sqrt(2) floor keeps flat right triangles with both legs at the
     minimum constructible; below it only positively-curved shapes satisfy
     the leg constraints, which would bias the estimate.  The base midpoint
-    is drawn uniformly among the qualifying vertices.  Raises NoCandidate
-    when no valid triple is found within the retry budget.
+    is drawn uniformly among the qualifying vertices.  ``apex_row`` is a
+    fixed apex and its hop row, ``(u, bfs_hops(g, u))``, or None for an
+    apex drawn per retry.  Raises NoCandidate when no valid triple is
+    found within the retry budget.
     """
-    apex_row = None if apex is None else (int(apex), bfs_hops(g, int(apex)))
-    return _triangle(g, l_e, s_min_hops, s_max_hops, rng, apex_row)
-
-
-def _triangle(g, l_e, s_min_hops, s_max_hops, rng, apex_row=None):
-    """sample_triangle's search; ``apex_row`` is a fixed apex and its hop row, or None."""
     if not 2 <= s_min_hops <= s_max_hops:
         raise InvalidInput(f"need 2 <= s_min_hops <= s_max_hops, got ({s_min_hops}, {s_max_hops})")
     c_min = math.ceil(math.sqrt(2.0) * s_min_hops)
@@ -433,12 +423,16 @@ def solve_triangles(triangles, max_length_scale=None):
     return ks, rejected
 
 
-def hop_window(g, rng, s_min_hops, s_max_hops):
-    """The hop window with each missing end taken from default_hop_window."""
+def hop_window(g, rng, s_min_hops=None, s_max_hops=None):
+    """The hop window (s_min, s_max), each missing end taken from the graph.
+
+    The defaults are max(2, ceil(d / 3)) and d, for the diameter estimate d
+    drawn from ``rng``; when both ends are given nothing is drawn.
+    """
     if s_min_hops is None or s_max_hops is None:
-        d_min, d_max = default_hop_window(g, rng)
-        s_min_hops = d_min if s_min_hops is None else s_min_hops
-        s_max_hops = d_max if s_max_hops is None else s_max_hops
+        diam = diameter_estimate(g, rng)
+        s_min_hops = max(2, math.ceil(diam / 3)) if s_min_hops is None else s_min_hops
+        s_max_hops = diam if s_max_hops is None else s_max_hops
     return s_min_hops, s_max_hops
 
 
@@ -450,8 +444,8 @@ def estimate_curvature(g, l_e, n_samples, s_min_hops=None, s_max_hops=None,
     sub-stream spawned from ``rng``, and merged in chunk order, so the
     result depends only on ``rng`` and the arguments.  Samples whose
     construction or root solve fails are tallied by reason, not propagated.
-    A missing hop-window end comes from :func:`default_hop_window`; a
-    window that is empty, or starts below 2, raises InvalidInput.
+    A missing hop-window end comes from :func:`hop_window`; a window that
+    is empty, or starts below 2, raises InvalidInput.
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
@@ -489,7 +483,8 @@ def vertex_curvature(g, l_e, samples_per_vertex, s_min_hops=None, s_max_hops=Non
     rejected = Counter()
     for v, stream in enumerate(rng.spawn(n)):
         # the apex's hop row is built once and shared by all its draws
-        draw = partial(_triangle, g, l_e, s_min_hops, s_max_hops, apex_row=(v, bfs_hops(g, v)))
+        draw = partial(sample_triangle, g, l_e, s_min_hops, s_max_hops,
+                       apex_row=(v, bfs_hops(g, v)))
         ks, vertex_rejected = solve_triangles(_drawn(draw, [(samples_per_vertex, stream)]))
         rejected += vertex_rejected
         if ks:

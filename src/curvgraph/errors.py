@@ -13,10 +13,6 @@ class SpheroidNonConvergence(CurvGraphError):
     """The iterative inverse geodesic failed (typically a near-antipodal pair)."""
 
 
-class UnsupportedManifold(CurvGraphError):
-    """The requested operation is not defined on this manifold."""
-
-
 class SamplingFailure(CurvGraphError):
     """Rejection sampling exceeded its attempt cap; indicates a broken density."""
 
@@ -27,10 +23,6 @@ class Disconnected(CurvGraphError):
 
 class NoConnectedLength(CurvGraphError):
     """No connection length in the search bracket produced a connected graph."""
-
-    def __init__(self, message, best_length=None):
-        super().__init__(message)
-        self.best_length = best_length
 
 
 class EmptyInput(CurvGraphError):

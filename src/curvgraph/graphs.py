@@ -58,22 +58,11 @@ class Graph:
             raise ValueError("duplicate edges are not allowed")
         self.indptr, self.indices = self.adjacency.indptr, self.adjacency.indices
 
-    def neighbors(self, v):
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def degrees(self):
-        return np.diff(self.indptr)
-
     def edge_arrays(self):
         """Each edge once, as arrays (u, v) with u < v, ordered by u then v."""
         rows = np.repeat(np.arange(self.vertex_count), np.diff(self.indptr))
         upper = rows < self.indices
         return rows[upper], self.indices[upper]
-
-    def edges(self):
-        """Iterate edges once as (u, v) with u < v."""
-        us, vs = self.edge_arrays()
-        return zip(us.tolist(), vs.tolist())
 
     def __repr__(self):
         return f"Graph(V={self.vertex_count}, E={self.edge_count})"
@@ -160,7 +149,8 @@ def load_edge_list(path):
     """Read the text edge-list format; a malformed file raises InvalidInput.
 
     The header "V E" must be followed by exactly E lines "u v" (blank
-    lines are skipped).
+    lines are skipped) naming distinct edges between vertices in [0, V),
+    with no self-loop.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -179,7 +169,10 @@ def load_edge_list(path):
     if vcount < 0 or pairs.shape != (ecount, 2):
         raise InvalidInput(f"{path}: header 'V E' = {vcount} {ecount} but {len(pairs)} "
                            f"lines of {pairs.shape[1]} numbers follow")
-    return Graph(vcount, pairs[:, 0], pairs[:, 1])
+    try:
+        return Graph(vcount, pairs[:, 0], pairs[:, 1])
+    except ValueError as exc:
+        raise InvalidInput(f"{path}: {exc}") from None
 
 
 class GeometricGraph:
@@ -250,6 +243,10 @@ def load_geometric_graph(prefix):
     if coordinates.shape != shape:
         raise InvalidInput(f"{prefix}.json: {manifold.kind} coordinates shaped "
                            f"{coordinates.shape}, not {shape}")
+    bad = np.flatnonzero(~np.isfinite(coordinates).all(axis=1))
+    if bad.size:
+        raise InvalidInput(f"{prefix}.json: coordinates must be finite, but vertex {bad[0]} "
+                           f"has {coordinates[bad[0]].tolist()}")
     return GeometricGraph(
         graph,
         manifold,

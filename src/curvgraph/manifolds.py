@@ -1,8 +1,9 @@
 """Constant-curvature spaces and the oblate spheroid.
 
 Each manifold provides uniform sampling with respect to its area/volume
-measure, exact geodesic distance, and (for the sphere and the spheroid)
-the direct geodesic problem.  Points are plain numpy arrays:
+measure and exact geodesic distance; the spheroid also solves the direct
+geodesic problem, which earth-radius triangles are built with.  Points are
+plain numpy arrays:
 
 * spheres: embedding coordinates with norm equal to the radius
   (3 components for the 2-sphere, 4 for the 3-sphere),
@@ -19,12 +20,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    InvalidInput,
-    SamplingFailure,
-    SpheroidNonConvergence,
-    UnsupportedManifold,
-)
+from .errors import InvalidInput, SamplingFailure, SpheroidNonConvergence
 
 _REJECTION_CAP = 10**6
 # a spheroid rejection round draws at least this many candidates
@@ -84,14 +80,6 @@ class Manifold:
     def chord_bound(self, length):
         """Largest chart chord of two points at most ``length`` apart."""
         raise NotImplementedError
-
-    def direct(self, p, azimuth, s):
-        """Point reached by following the geodesic from ``p`` for arclength ``s``.
-
-        The azimuth is measured clockwise from north.  Only the 2-sphere and
-        the spheroid support this; no other caller needs it.
-        """
-        raise UnsupportedManifold(f"direct geodesic not supported on {self.kind}")
 
     def to_json(self):
         return {"type": self.kind, **{name: getattr(self, name) for name in self.params}}
@@ -159,21 +147,6 @@ class _EmbeddedSphere(Manifold):
 class Sphere2(_EmbeddedSphere):
     kind = "sphere2"
     coordinate_width = 3
-
-    def direct(self, p, azimuth, s):
-        r = self.radius
-        x, y, z = np.asarray(p) / r
-        lat1, lon1 = math.asin(max(-1.0, min(1.0, z))), math.atan2(y, x)
-        delta = s / r
-        sin_lat2 = math.sin(lat1) * math.cos(delta) + math.cos(lat1) * math.sin(delta) * math.cos(azimuth)
-        lat2 = math.asin(max(-1.0, min(1.0, sin_lat2)))
-        lon2 = lon1 + math.atan2(
-            math.sin(azimuth) * math.sin(delta) * math.cos(lat1),
-            math.cos(delta) - math.sin(lat1) * sin_lat2,
-        )
-        return r * np.array(
-            [math.cos(lat2) * math.cos(lon2), math.cos(lat2) * math.sin(lon2), math.sin(lat2)]
-        )
 
 
 class Sphere3(_EmbeddedSphere):

@@ -136,11 +136,11 @@ class CandidatePairs:
         return float(self.d[k]) if k < self.d.size else float("inf")
 
 
-def build_annulus_graph(manifold, points, l, p, *, pairs=None):
-    """Annulus graph with edge rule |d(u,v) - l| <= l * p.
+def build_annulus_graph(pairs, l, p):
+    """Annulus graph on the points of ``pairs`` with edge rule |d(u,v) - l| <= l * p.
 
-    Deterministic given its inputs.  ``pairs`` is a :class:`CandidatePairs`
-    of these points to read the edges from (one is made when absent).  A
+    ``pairs`` is the :class:`CandidatePairs` of a manifold and its points;
+    the edges are read from it.  Deterministic given its inputs.  A
     fixed-seed 1% sample of the produced edges is re-checked against the
     geodesic distance, in one aligned call, as a self-test of the builder.
     """
@@ -148,10 +148,8 @@ def build_annulus_graph(manifold, points, l, p, *, pairs=None):
         raise ValueError("tolerance p must be in (0, 1]")
     if not l > 0.0:
         raise ValueError("connection length must be positive")
-    points = np.asarray(points, dtype=np.float64)
-    if pairs is None:
-        pairs = CandidatePairs(manifold, points)
-    graph = Graph(len(points), *pairs.edges(l, p))
+    manifold, points = pairs.manifold, pairs.points
+    graph = Graph(pairs.n, *pairs.edges(l, p))
 
     if graph.edge_count:
         us, vs = graph.edge_arrays()
@@ -164,29 +162,26 @@ def build_annulus_graph(manifold, points, l, p, *, pairs=None):
     return GeometricGraph(graph, manifold, points, l, p)
 
 
-def min_connection_length(manifold, points, p, *, pairs=None):
+def min_connection_length(pairs, p):
     """Approximate minimal connection length giving a connected graph.
 
-    Connectivity is not monotone in l for an annulus rule, so a plain
-    bisection can step over the connected region entirely.  The search
-    therefore first scans a uniform grid of 24 intervals over
-    [0, diameter] for the lowest connected length, then bisects between
-    that grid point and its disconnected predecessor, retaining the
-    smallest connected l seen.  The result is finally walked down in
-    relative steps of 1e-3 until the bracket property holds: connected at
-    l, not connected at l * (1 - 1e-3).  Every probe reads the float64
-    distances.  ``pairs`` is a :class:`CandidatePairs` of these points to
-    search (one is made when absent).
+    ``pairs`` is the :class:`CandidatePairs` of a manifold and its points,
+    which every probe reads.  Connectivity is not monotone in l for an
+    annulus rule, so a plain bisection can step over the connected region
+    entirely.  The search therefore first scans a uniform grid of 24
+    intervals over [0, diameter] for the lowest connected length, then
+    bisects between that grid point and its disconnected predecessor,
+    retaining the smallest connected l seen.  The result is finally walked
+    down in relative steps of 1e-3 until the bracket property holds:
+    connected at l, not connected at l * (1 - 1e-3).  Every probe reads the
+    float64 distances.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("tolerance p must be in (0, 1]")
-    points = np.asarray(points, dtype=np.float64)
-    if len(points) < 2:
+    if pairs.n < 2:
         raise ValueError("need at least 2 points")
-    if pairs is None:
-        pairs = CandidatePairs(manifold, points)
 
-    diam = manifold.diameter()
+    diam = pairs.manifold.diameter()
     grid = [diam * i / _BISECT_ITERS for i in range(1, _BISECT_ITERS + 1)]
     best = None
     lo = 0.0
@@ -196,10 +191,7 @@ def min_connection_length(manifold, points, p, *, pairs=None):
             break
         lo = l
     if best is None:
-        raise NoConnectedLength(
-            f"no connection length in (0, {diam:.6g}] yields a connected graph",
-            best_length=grid[-1],
-        )
+        raise NoConnectedLength(f"no connection length in (0, {diam:.6g}] yields a connected graph")
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + best)
         if pairs.connected(mid, p):
@@ -213,9 +205,7 @@ def min_connection_length(manifold, points, p, *, pairs=None):
         if best * (1.0 + p + _PAD_REL) < pairs.shortest_positive():
             # only coincident points are joined, at every smaller length too
             raise NoConnectedLength(
-                f"connected at every length below {best:.9g}: the points coincide",
-                best_length=best,
-            )
+                f"connected at every length below {best:.9g}: the points coincide")
     return best
 
 
@@ -228,9 +218,6 @@ def sprinkle(manifold, n, p=DEFAULT_TOLERANCE, rng=None, l_override=None):
         raise ValueError("need n >= 2")
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
-    points = manifold.sample_points(n, rng)
-    if l_override is not None:
-        return build_annulus_graph(manifold, points, float(l_override), p)
-    pairs = CandidatePairs(manifold, points)
-    l = min_connection_length(manifold, points, p, pairs=pairs)
-    return build_annulus_graph(manifold, points, l, p, pairs=pairs)
+    pairs = CandidatePairs(manifold, manifold.sample_points(n, rng))
+    l = min_connection_length(pairs, p) if l_override is None else float(l_override)
+    return build_annulus_graph(pairs, l, p)

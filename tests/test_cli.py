@@ -434,8 +434,21 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
     (tmp_path / "ok.edges").write_text("3 2\n0 1\n1 2\n")
     (tmp_path / "ok.json").write_text(json.dumps(
         {**sidecar, "coordinates": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]}))
-    (tmp_path / "neg.edges").write_text("3 1\n0 -1\n")
-    (tmp_path / "neg.json").write_text((tmp_path / "ok.json").read_text())
+    # edge lists that parse but name no simple graph on V = 3 vertices
+    bad_edges = {"neg": ("3 1\n0 -1\n", "edge endpoint out of range"),
+                 "high": ("3 1\n0 3\n", "edge endpoint out of range"),
+                 "loop": ("3 2\n0 1\n1 1\n", "self-loops are not allowed"),
+                 "dup": ("3 2\n0 1\n0 1\n", "duplicate edges are not allowed"),
+                 "flip": ("3 2\n0 1\n1 0\n", "duplicate edges are not allowed")}
+    for name, (text, _) in bad_edges.items():
+        (tmp_path / f"{name}.edges").write_text(text)
+        (tmp_path / f"{name}.json").write_text((tmp_path / "ok.json").read_text())
+    # a non-finite coordinate in a sidecar without an effective edge length
+    non_finite = {"nan": math.nan, "inf": math.inf, "ninf": -math.inf}
+    for name, value in non_finite.items():
+        (tmp_path / f"{name}.edges").write_text((tmp_path / "ok.edges").read_text())
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {**sidecar, "coordinates": [[1.0, 0, 0], [0, value, 0], [0, 0, 1.0]]}))
     (tmp_path / "tri.edges").write_text("3 3\n0 1\n0 2\n1 2\n")
     (tmp_path / "tri.json").write_text((tmp_path / "ok.json").read_text())
     # coordinates one too narrow or too wide for the manifold
@@ -503,8 +516,15 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
     no_float = ("0 of 20 samples accepted, below the minimum of 10 for a meaningful report "
                 "(rejections: {'root_not_found': 20})")
     for args, error, message in [
-        (("distortion", "--graph", tmp_path / "neg", "--seed", 1),
-         "ValueError", "edge endpoint out of range"),
+        *[((command, "--graph", tmp_path / name, *more, "--seed", 1), "InvalidInput",
+           f"{tmp_path / name}.edges: {reason}")
+          for name, (_, reason) in bad_edges.items()
+          for command, *more in (("distortion",), ("curvature", "--samples", 50))],
+        *[((command, "--graph", tmp_path / name, *more, "--seed", 1), "InvalidInput",
+           f"{tmp_path / name}.json: coordinates must be finite, but vertex 1 has "
+           f"{[0.0, value, 0.0]}")
+          for name, value in non_finite.items()
+          for command, *more in (("distortion",), ("curvature", "--samples", 50))],
         (("fractal", "--level", 2, "--samples", -5, "--seed", 1), "ValueError", "need m >= 1"),
         (("fractal", "--level", 12, "--exact", "--seed", 1), "LevelTooLarge",
          "all-pairs distances limited to level 6"),

@@ -14,9 +14,9 @@ from curvgraph import (
     Sphere2,
     bfs_hops,
     curvature_from_triangle,
-    default_hop_window,
     estimate_curvature,
     forward_hypotenuse,
+    hop_window,
     ricci_scalar_from_mean_sectional,
     sample_triangle,
     sprinkle,
@@ -323,7 +323,7 @@ def test_sample_triangle_c12_degenerate_rejected():
     g = cycle(12)
     rng = np.random.default_rng(65)
     with pytest.raises(NoCandidate):
-        sample_triangle(g, 1.0, 2, 2, rng, apex=0)
+        sample_triangle(g, 1.0, 2, 2, rng, apex_row=(0, bfs_hops(g, 0)))
 
 
 def test_sample_triangle_grid_center():
@@ -332,10 +332,11 @@ def test_sample_triangle_grid_center():
     g = grid_graph(5, 5)
     center = 12
     rng = np.random.default_rng(66)
+    apex_row = (center, bfs_hops(g, center))
     found = 0
     for _ in range(20):
         try:
-            tri = sample_triangle(g, 1.0, 2, 4, rng, apex=center)
+            tri = sample_triangle(g, 1.0, 2, 4, rng, apex_row=apex_row)
         except NoCandidate:
             continue
         found += 1
@@ -354,7 +355,7 @@ def test_sample_triangle_grid_center():
 
 def full_mask_triangle(g, l_e, s_min_hops, s_max_hops, rng, apex_row=None):
     """The triangle search with full-length candidate masks: the reference for
-    the hop-ring filters of curvature._triangle."""
+    the hop-ring filters of curvature.sample_triangle."""
     c_min = math.ceil(math.sqrt(2.0) * s_min_hops)
     n = g.vertex_count
     for _ in range(_RETRIES):
@@ -413,7 +414,7 @@ def test_sample_triangle_matches_full_masks():
         for seed in range(12):
             for apex in (None, seed % g.vertex_count):
                 apex_row = None if apex is None else (apex, bfs_hops(g, apex))
-                got = _outcome(partial(sample_triangle, g, 0.1, s_min, s_max, apex=apex),
+                got = _outcome(partial(sample_triangle, g, 0.1, s_min, s_max, apex_row=apex_row),
                                np.random.default_rng([case, seed]))
                 want = _outcome(partial(full_mask_triangle, g, 0.1, s_min, s_max,
                                         apex_row=apex_row),
@@ -511,7 +512,7 @@ def test_estimate_curvature_max_length_scale():
 
 def test_default_hop_window():
     g = cycle(12)
-    smin, smax = default_hop_window(g, np.random.default_rng(0))
+    smin, smax = hop_window(g, np.random.default_rng(0))
     assert (smin, smax) == (2, 6)
 
 
@@ -535,11 +536,11 @@ def test_vertex_curvature_adjacent_smoothness():
     from curvgraph import distortion_report
 
     rep = distortion_report(gg, rng=rng)
-    smin, smax = default_hop_window(gg.graph, rng)
+    smin, smax = hop_window(gg.graph, rng)
     vk = vertex_curvature(gg.graph, rep.effective_edge_length, 8, smin, smax,
                           substream(77, 8))
     defined = ~np.isnan(vk)
-    diffs = [abs(vk[u] - vk[v]) for u, v in gg.graph.edges()
+    diffs = [abs(vk[u] - vk[v]) for u, v in zip(*gg.graph.edge_arrays())
              if defined[u] and defined[v]]
     assert len(diffs) > 100
     assert np.mean(diffs) < vk[defined].std()
@@ -553,19 +554,19 @@ def test_vertex_curvature_adjacent_smoothness():
 def test_vertex_curvature_deterministic():
     rng = np.random.default_rng(71)
     gg = sprinkle(Sphere2(1.0), 250, 0.25, rng=rng)
-    smin, smax = default_hop_window(gg.graph, np.random.default_rng(2))
+    smin, smax = hop_window(gg.graph, np.random.default_rng(2))
     v1 = vertex_curvature(gg.graph, 0.2, 2, smin, smax, np.random.default_rng(3))
     v2 = vertex_curvature(gg.graph, 0.2, 2, smin, smax, np.random.default_rng(3))
     assert np.array_equal(np.isnan(v1), np.isnan(v2))
     assert np.allclose(v1[~np.isnan(v1)], v2[~np.isnan(v2)])
     # a missing window end is drawn from rng before the per-vertex streams
     rng = np.random.default_rng(3)
-    smin, smax = default_hop_window(gg.graph, rng)
+    smin, smax = hop_window(gg.graph, rng)
     drawn = vertex_curvature(gg.graph, 0.2, 2, smin, smax, rng)
     resolved = vertex_curvature(gg.graph, 0.2, 2, rng=np.random.default_rng(3))
     assert np.array_equal(drawn, resolved, equal_nan=True)
     rng = np.random.default_rng(3)
-    smax = default_hop_window(gg.graph, rng)[1]
+    smax = hop_window(gg.graph, rng)[1]
     drawn = vertex_curvature(gg.graph, 0.2, 2, 4, smax, rng)
     resolved = vertex_curvature(gg.graph, 0.2, 2, s_min_hops=4, rng=np.random.default_rng(3))
     assert np.array_equal(drawn, resolved, equal_nan=True)

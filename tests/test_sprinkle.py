@@ -21,6 +21,12 @@ from curvgraph.errors import NoConnectedLength, SpheroidNonConvergence
 from curvgraph.sprinkle import CandidatePairs, pairwise_distances
 
 
+def edge_list(g):
+    """Each edge once as (u, v) with u < v, ordered by u then v."""
+    us, vs = g.edge_arrays()
+    return list(zip(us.tolist(), vs.tolist()))
+
+
 def collinear_points():
     # 0, 1, 2 on a line inside a radius-2.5 disk
     return EuclideanDisk(2.5), np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
@@ -28,14 +34,14 @@ def collinear_points():
 
 def test_annulus_edges_basic():
     m, pts = collinear_points()
-    gg = build_annulus_graph(m, pts, l=1.0, p=0.1)
-    assert sorted(gg.graph.edges()) == [(0, 1), (1, 2)]  # d(0,2)=2 outside [0.9,1.1]
+    gg = build_annulus_graph(CandidatePairs(m, pts), l=1.0, p=0.1)
+    assert edge_list(gg.graph) == [(0, 1), (1, 2)]  # d(0,2)=2 outside [0.9,1.1]
 
 
 def test_annulus_edges_wide_tolerance():
     m, pts = collinear_points()
-    gg = build_annulus_graph(m, pts, l=1.0, p=1.0)
-    assert sorted(gg.graph.edges()) == [(0, 1), (0, 2), (1, 2)]
+    gg = build_annulus_graph(CandidatePairs(m, pts), l=1.0, p=1.0)
+    assert edge_list(gg.graph) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_annulus_contains_ball_rule():
@@ -44,7 +50,7 @@ def test_annulus_contains_ball_rule():
     m = EuclideanDisk(1.0)
     pts = m.sample_points(80, rng)
     l = 3.0  # huge: annulus [0, 6] covers the whole disk
-    gg = build_annulus_graph(m, pts, l=l, p=1.0)
+    gg = build_annulus_graph(CandidatePairs(m, pts), l=l, p=1.0)
     assert gg.graph.edge_count == 80 * 79 // 2
 
 
@@ -53,11 +59,11 @@ def test_annulus_inequality_exact():
     m = Sphere2(1.0)
     pts = m.sample_points(150, rng)
     l, p = 0.7, 0.25
-    gg = build_annulus_graph(m, pts, l, p)
-    for u, v in gg.graph.edges():
+    gg = build_annulus_graph(CandidatePairs(m, pts), l, p)
+    for u, v in edge_list(gg.graph):
         assert abs(m.distance(pts[u], pts[v]) - l) <= l * p
     # and non-edges violate it
-    adj = {(u, v) for u, v in gg.graph.edges()}
+    adj = set(edge_list(gg.graph))
     checked = 0
     for u in range(0, 150, 10):
         for v in range(u + 1, 150, 7):
@@ -88,7 +94,7 @@ def grid_scan_min_l(m, pts, p, step=1e-3):
 
 def test_min_connection_length_collinear():
     m, pts = collinear_points()
-    l = min_connection_length(m, pts, 0.25)
+    l = min_connection_length(CandidatePairs(m, pts), 0.25)
     oracle = grid_scan_min_l(m, pts, 0.25)
     # connectivity needs the unit gaps inside the annulus: l in [0.8, 1.0]
     assert 0.8 - 2e-3 <= l <= 1.0
@@ -99,7 +105,7 @@ def test_min_connection_length_two_points():
     m = EuclideanDisk(2.0)
     d = 1.3
     pts = np.array([[0.0, 0.0], [d, 0.0]])
-    l = min_connection_length(m, pts, 0.25)
+    l = min_connection_length(CandidatePairs(m, pts), 0.25)
     assert l == pytest.approx(d / 1.25, rel=5e-3)
 
 
@@ -107,9 +113,10 @@ def test_min_connection_length_bracket_on_sphere():
     rng = np.random.default_rng(43)
     m = Sphere2(1.0)
     pts = m.sample_points(100, rng)
-    l = min_connection_length(m, pts, 0.25)
-    assert is_connected(build_annulus_graph(m, pts, l, 0.25).graph)
-    assert not is_connected(build_annulus_graph(m, pts, l * (1 - 1e-3), 0.25).graph)
+    l = min_connection_length(CandidatePairs(m, pts), 0.25)
+    assert is_connected(build_annulus_graph(CandidatePairs(m, pts), l, 0.25).graph)
+    below = build_annulus_graph(CandidatePairs(m, pts), l * (1 - 1e-3), 0.25)
+    assert not is_connected(below.graph)
 
 
 def test_no_connected_length():
@@ -117,16 +124,15 @@ def test_no_connected_length():
     # far pairs or the near pairs, never both
     m = EuclideanDisk(2.0)
     pts = np.array([[0.0, 0.0], [0.001, 0.0], [1.9, 0.0], [1.9, 0.001]])
-    with pytest.raises(NoConnectedLength) as err:
-        min_connection_length(m, pts, 0.01)
-    assert err.value.best_length is not None
+    with pytest.raises(NoConnectedLength):
+        min_connection_length(CandidatePairs(m, pts), 0.01)
 
 
 def test_no_minimal_length_for_coincident_points():
     # at p = 1 coincident points are joined at every length: none is minimal
     pts = np.array([[0.3, 0.1]] * 3)
     with pytest.raises(NoConnectedLength):
-        min_connection_length(EuclideanDisk(1.0), pts, 1.0)
+        min_connection_length(CandidatePairs(EuclideanDisk(1.0), pts), 1.0)
 
 
 @pytest.mark.parametrize("m", [Sphere2(1e39), Sphere2(1e150),
@@ -139,7 +145,34 @@ def test_bracket_at_extreme_scales(m):
     gg = sprinkle(m, 200, 0.25, rng=np.random.default_rng(49))
     l = gg.connection_length
     assert is_connected(gg.graph)
-    assert not is_connected(build_annulus_graph(m, gg.coordinates, l * (1 - 1e-3), 0.25).graph)
+    below = build_annulus_graph(CandidatePairs(m, gg.coordinates), l * (1 - 1e-3), 0.25)
+    assert not is_connected(below.graph)
+
+
+@pytest.mark.parametrize("m", [Sphere2(1.0), HyperbolicDisk(1.0, math.acosh(3.0)),
+                               EuclideanDisk(2.0)])
+@pytest.mark.parametrize("n", [12, 400])
+def test_shared_table_builds_as_a_fresh_one(monkeypatch, m, n):
+    # the search probes, widens and caches the table it is given; a build from
+    # that table after the search equals a build from a fresh table
+    widenings = []
+    cover = CandidatePairs._cover
+
+    def counted_cover(self, length):
+        reach = self.reach
+        cover(self, length)
+        widenings.append(self.reach > reach)
+
+    monkeypatch.setattr(CandidatePairs, "_cover", counted_cover)
+    pts = m.sample_points(n, np.random.default_rng(50))
+    pairs = CandidatePairs(m, pts)
+    l = min_connection_length(pairs, 0.25)
+    if n == 12:
+        assert sum(widenings) >= 2  # the grid widened the table more than once
+    for length in (l, l * (1 - 1e-3), l * (1 + 1e-3)):
+        shared = build_annulus_graph(pairs, length, 0.25).graph.edge_arrays()
+        fresh = build_annulus_graph(CandidatePairs(m, pts), length, 0.25).graph.edge_arrays()
+        assert all(np.array_equal(a, b) for a, b in zip(shared, fresh))
 
 
 def test_sprinkle_two_points():
@@ -156,7 +189,7 @@ def test_sprinkle_deterministic():
     m = Sphere2(1.0)
     g1 = sprinkle(m, 150, 0.25, rng=np.random.default_rng(45))
     g2 = sprinkle(m, 150, 0.25, rng=np.random.default_rng(45))
-    assert list(g1.graph.edges()) == list(g2.graph.edges())
+    assert edge_list(g1.graph) == edge_list(g2.graph)
     assert np.array_equal(g1.coordinates, g2.coordinates)
     assert g1.connection_length == g2.connection_length
 
@@ -190,10 +223,10 @@ def test_mean_degree_lower_at_small_p():
     rng = np.random.default_rng(47)
     m = Sphere2(1.0)
     pts = m.sample_points(400, rng)
-    l = min_connection_length(m, pts, 0.25)
-    e_small = build_annulus_graph(m, pts, l, 0.25).graph.edge_count
-    e_large = build_annulus_graph(m, pts, l, 1.0).graph.edge_count
-    assert is_connected(build_annulus_graph(m, pts, l, 0.25).graph)
+    l = min_connection_length(CandidatePairs(m, pts), 0.25)
+    e_small = build_annulus_graph(CandidatePairs(m, pts), l, 0.25).graph.edge_count
+    e_large = build_annulus_graph(CandidatePairs(m, pts), l, 1.0).graph.edge_count
+    assert is_connected(build_annulus_graph(CandidatePairs(m, pts), l, 0.25).graph)
     assert e_small < e_large
 
 
@@ -295,8 +328,8 @@ def test_annulus_edges_match_brute_force(case, reach, p):
     l = reach * m.diameter()
     iu, ju = np.triu_indices(len(pts), 1)
     rule = np.abs(D64[iu, ju] - l) <= l * p
-    gg = build_annulus_graph(m, pts, l, p)
-    assert list(gg.graph.edges()) == list(zip(iu[rule].tolist(), ju[rule].tolist()))
+    gg = build_annulus_graph(CandidatePairs(m, pts), l, p)
+    assert edge_list(gg.graph) == list(zip(iu[rule].tolist(), ju[rule].tolist()))
 
 
 @PROPERTY_SETTINGS
@@ -310,10 +343,10 @@ def test_min_connection_length_matches_dense_search(case, p):
         expected, capped = dense_min_connection_length(m, D64, p)
     except NoConnectedLength:
         with pytest.raises(NoConnectedLength):
-            min_connection_length(m, pts, p)
+            min_connection_length(CandidatePairs(m, pts), p)
         return
     try:
-        l = min_connection_length(m, pts, p)
+        l = min_connection_length(CandidatePairs(m, pts), p)
     except NoConnectedLength:
         # only where the dense walk ran out of bracket steps
         assert capped
