@@ -10,10 +10,8 @@ and Sierpinski fractal curvature distributions.
 from .converge import ConvergencePoint, linear_fit, run_sweep, sweep_report
 from .curvature import (
     CurvatureReport,
-    TriangleSample,
     curvature_from_triangle,
     estimate_curvature,
-    forward_hypotenuse,
     hop_window,
     ricci_scalar_from_mean_sectional,
     sample_triangle,

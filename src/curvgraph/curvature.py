@@ -22,21 +22,25 @@ root of the residual's quadratic Taylor series and stay inside a
 closed-form bracket, [0, pi^2] when gap > 0, where the longest side
 reaches pi at the upper end, and [-(3 ln 2 m / (a + b - c))^2, 0]
 otherwise, from log cosh x >= x - ln 2; a step that leaves the bracket, or
-is not half the step before last, is replaced by bisection.  The solve ends when a step is below 1e-8 relative,
-after which quadratic convergence leaves the error at rounding, or when
-the bracket is below 4 eps relative.  Far out on the negative branch the
-residual takes log cosh, which stays near linear and cannot overflow.
+is not half the step before last, is replaced by bisection.  The solve
+ends when a step is below 1e-8 relative, after which quadratic
+convergence leaves the error at rounding, or when the bracket is below
+4 eps relative.  Far out on the negative branch the residual takes log
+cosh, which stays near linear and cannot overflow.
 
-Each triangle still gets its own call: perfbench's trace check counts the
-calls of this function as root solves, so a batched solver waits for a
-change to that check.
+Graph, earth and fractal triangles share one solve path:
+``solve_triangles`` takes the side arrays of a run's draws, in draw order,
+and returns K aligned with them and the rejections tallied by reason.  It
+is the only caller of ``curvature_from_triangle``, one call per triangle:
+perfbench's trace check counts the calls of that function as root solves,
+so a batched solver waits for a change to that check.
 
 On a graph, approximate right triangles are built from hop distances:
 pick an apex u, two vertices v, w at equal hop distance from u with an
 even-length base between them, and a base midpoint m; then (a, b, c) =
-(d(u,m), d(v,w)/2, d(u,v)) in hops, converted to lengths by the effective
-edge length.  Curvature statistics are aggregated over many sampled
-triangles.
+(d(u,m), d(v,w)/2, d(u,v)) in hops.  A run's hop sides are converted to
+lengths by one multiplication with the effective edge length.  Curvature
+statistics are aggregated over many sampled triangles.
 """
 
 import math
@@ -64,28 +68,6 @@ _ROOT_RTOL = 4 * sys.float_info.epsilon  # a bracket this narrow (relative) ends
 _STEP_RTOL = 1e-8         # so does a Newton step this small (relative)
 _MAX_STEPS = 100          # Newton or bisection steps per solve
 _SINH_MAX = 5.0           # unit-scale sqrt(-K) past which the residual takes log cosh
-
-
-@dataclass
-class TriangleSample:
-    """Physical side lengths of one constructed right triangle.
-
-    a: median leg (apex to base midpoint), b: half-base leg, c: the equal
-    sides / hypotenuse.  Vertex ids and hop counts are provenance and are
-    absent for continuum (non-graph) samples.
-    """
-
-    a: float
-    b: float
-    c: float
-    apex: int = None
-    base_end1: int = None
-    base_end2: int = None
-    midpoint: int = None
-    hops: tuple = None
-
-    def sides(self):
-        return self.a, self.b, self.c
 
 
 @dataclass
@@ -293,30 +275,6 @@ def curvature_from_triangle(a, b, c):
     return scaled
 
 
-def forward_hypotenuse(a, b, curvature):
-    """Hypotenuse of the right triangle with legs a, b in constant curvature.
-
-    Forward evaluation of the generalized cosine rule; the independent check
-    for the root solver.
-    """
-    if curvature > 0:
-        s = math.sqrt(curvature)
-        if max(a, b) * s >= math.pi:
-            raise ValueError("legs do not fit on the sphere")
-        # the half-angle form sin^2(c s/2) = S_a + S_b - 2 S_a S_b, S_x = sin^2(x s/2),
-        # as a sum of squares: acos of cos(a s) cos(b s) loses digits near flat
-        sin_a, cos_a = math.sin(0.5 * a * s), math.cos(0.5 * a * s)
-        sin_b, cos_b = math.sin(0.5 * b * s), math.cos(0.5 * b * s)
-        return 2.0 * math.asin(min(1.0, math.hypot(sin_a * cos_b, cos_a * sin_b))) / s
-    if curvature < 0:
-        # acosh z = ln z + log1p(sqrt(1 - z^-2)) with ln z = log cosh(at) + log cosh(bt),
-        # so that long sides do not overflow cosh
-        t = math.sqrt(-curvature)
-        log_z = _logcosh(a * t) + _logcosh(b * t)
-        return (log_z + math.log1p(math.sqrt(-math.expm1(-2.0 * log_z)))) / t
-    return math.hypot(a, b)
-
-
 def ricci_scalar_from_mean_sectional(kappa, n):
     """Ricci scalar from the mean sectional curvature in dimension n."""
     if n < 2:
@@ -324,7 +282,7 @@ def ricci_scalar_from_mean_sectional(kappa, n):
     return n * (n - 1) * kappa
 
 
-def sample_triangle(g, l_e, s_min_hops, s_max_hops, rng, apex_row=None):
+def sample_triangle(g, s_min_hops, s_max_hops, rng, apex_row=None):
     """Construct one approximate right triangle from hop distances.
 
     All three sides are required to reach the minimum hop scale: the
@@ -335,8 +293,9 @@ def sample_triangle(g, l_e, s_min_hops, s_max_hops, rng, apex_row=None):
     the leg constraints, which would bias the estimate.  The base midpoint
     is drawn uniformly among the qualifying vertices.  ``apex_row`` is a
     fixed apex and its hop row, ``(u, bfs_hops(g, u))``, or None for an
-    apex drawn per retry.  Raises NoCandidate when no valid triple is
-    found within the retry budget.
+    apex drawn per retry.  Returns the sides in hops, ``(a, b, c)``, and
+    the vertices ``(apex, v, w, midpoint)``.  Raises NoCandidate when no
+    valid triple is found within the retry budget.
     """
     if not 2 <= s_min_hops <= s_max_hops:
         raise InvalidInput(f"need 2 <= s_min_hops <= s_max_hops, got ({s_min_hops}, {s_max_hops})")
@@ -371,55 +330,64 @@ def sample_triangle(g, l_e, s_min_hops, s_max_hops, rng, apex_row=None):
         if m_cand.size == 0:
             continue
         mid = int(m_cand[rng.integers(m_cand.size)])
-        a_h, b_h, c_h = int(du[mid]), half, int(du[v])
-        return TriangleSample(
-            a=a_h * l_e, b=b_h * l_e, c=c_h * l_e,
-            apex=u, base_end1=v, base_end2=w, midpoint=mid,
-            hops=(a_h, b_h, c_h),
-        )
+        return (int(du[mid]), half, int(du[v])), (u, v, w, mid)
     raise NoCandidate(f"no valid triangle after {_RETRIES} retries")
 
 
-def _drawn(sample, streams):
-    """``sample(gen)`` once per triangle of each (count, gen) chunk, in chunk order, lazily.
+def _drawn_hops(draw, streams):
+    """Hop sides of ``draw(gen)``, once per triangle of each (count, gen) chunk, in chunk order.
 
-    ``sample`` returns one TriangleSample or raises NoCandidate, which is
-    yielded as None.
+    One float64 row ``(a, b, c)`` per draw; a draw that raises NoCandidate
+    is a row of NaN.
     """
+    rows = []
     for count, stream in streams:
         for _ in range(count):
             try:
-                yield sample(stream)
+                rows.append(draw(stream)[0])
             except NoCandidate:
-                yield None
+                rows.append((math.nan,) * 3)
+    return np.array(rows, dtype=np.float64).reshape(-1, 3)
 
 
-def solve_triangles(triangles, max_length_scale=None):
-    """Curvatures of drawn triangles, in draw order, and the rejections by reason.
+def check_length_scale(max_length_scale):
+    """Raise ValueError unless ``max_length_scale`` is None or finite and > 0.
 
-    ``triangles`` is an iterable of TriangleSamples in draw order, with None
-    for a draw that found no candidate; it is read only after
-    ``max_length_scale`` is checked.  A triangle with a side above
-    ``max_length_scale`` is rejected without a root solve.
+    The estimators call it before they draw, so a bad scale is reported
+    ahead of any sampling failure.
     """
     if max_length_scale is not None and not 0 < max_length_scale < math.inf:
         raise ValueError(f"max_length_scale must be None or finite and > 0, "
                          f"got {max_length_scale!r}")
-    ks = []
+
+
+def solve_triangles(a, b, c, max_length_scale=None):
+    """Curvature of each drawn triangle, in draw order, and the rejections by reason.
+
+    ``a``, ``b`` and ``c`` are float64 side arrays, one element per draw;
+    a draw with a NaN side found no candidate.  A triangle with a side
+    above ``max_length_scale`` (None, or a scale that check_length_scale
+    accepts) is rejected without a root solve.  Returns K aligned with the
+    draws, NaN where rejected, and a Counter of the reasons in the order
+    they first occur.
+    """
+    ks = np.full(len(a), math.nan)
     rejected = Counter()
-    for tri in triangles:
-        if tri is None:
-            rejected["no_candidate"] += 1
-            continue
-        if max_length_scale is not None and max(tri.sides()) > max_length_scale:
-            rejected["max_length_scale"] += 1
-            continue
-        try:
-            ks.append(curvature_from_triangle(*tri.sides()))
-        except TriangleInequalityViolated:
-            rejected["triangle_inequality"] += 1
-        except RootNotFound:
-            rejected["root_not_found"] += 1
+    drawn = ~(np.isnan(a) | np.isnan(b) | np.isnan(c))
+    for i, (ok, *sides) in enumerate(zip(drawn.tolist(), a.tolist(), b.tolist(), c.tolist())):
+        if not ok:
+            reason = "no_candidate"
+        elif max_length_scale is not None and max(sides) > max_length_scale:
+            reason = "max_length_scale"
+        else:
+            try:
+                ks[i] = curvature_from_triangle(*sides)
+                continue
+            except TriangleInequalityViolated:
+                reason = "triangle_inequality"
+            except RootNotFound:
+                reason = "root_not_found"
+        rejected[reason] += 1
     return ks, rejected
 
 
@@ -454,10 +422,12 @@ def estimate_curvature(g, l_e, n_samples, s_min_hops=None, s_max_hops=None,
     if not is_connected(g):
         raise Disconnected("curvature estimation requires a connected graph")
     s_min_hops, s_max_hops = hop_window(g, rng, s_min_hops, s_max_hops)
-    ks, rejected = solve_triangles(_drawn(partial(sample_triangle, g, l_e, s_min_hops, s_max_hops),
-                                          chunk_streams(n_samples, rng)),
-                                   max_length_scale)
-    require_accepted(len(ks), n_samples, rejected)
+    check_length_scale(max_length_scale)
+    hops = _drawn_hops(partial(sample_triangle, g, s_min_hops, s_max_hops),
+                       chunk_streams(n_samples, rng))
+    ks, rejected = solve_triangles(*(hops * l_e).T, max_length_scale)
+    ks = ks[~np.isnan(ks)]
+    require_accepted(ks.size, n_samples, rejected)
     return CurvatureReport.from_samples(ks, rejected)
 
 
@@ -483,12 +453,13 @@ def vertex_curvature(g, l_e, samples_per_vertex, s_min_hops=None, s_max_hops=Non
     rejected = Counter()
     for v, stream in enumerate(rng.spawn(n)):
         # the apex's hop row is built once and shared by all its draws
-        draw = partial(sample_triangle, g, l_e, s_min_hops, s_max_hops,
-                       apex_row=(v, bfs_hops(g, v)))
-        ks, vertex_rejected = solve_triangles(_drawn(draw, [(samples_per_vertex, stream)]))
+        draw = partial(sample_triangle, g, s_min_hops, s_max_hops, apex_row=(v, bfs_hops(g, v)))
+        hops = _drawn_hops(draw, [(samples_per_vertex, stream)])
+        ks, vertex_rejected = solve_triangles(*(hops * l_e).T)
         rejected += vertex_rejected
-        if ks:
-            out[v] = float(np.mean(ks))
+        ks = ks[~np.isnan(ks)]
+        if ks.size:
+            out[v] = float(ks.mean())
     if np.isnan(out).all():
         raise TooFewAccepted(f"0 of {n * samples_per_vertex} samples accepted, so no vertex of "
                              f"{n} has a curvature (rejections: {dict(rejected)})")

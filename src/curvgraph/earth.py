@@ -18,10 +18,11 @@ samples are built together, and a sample whose construction is not kept (a
 geodesic that does not converge, or the asymmetry rejection) stays pending
 for the next round.  Each chunk's stream sees the calls it would if its
 chunk were built alone.  ``sample_spheroid_triangle`` is the same loop on
-one sample.  Each triangle then gets one call of
-``curvature_from_triangle``, a few bracketed Newton steps on the half-angle
-cosine rule (about 2.3 on earth triangles); the solves stay one call per
-triangle because perfbench's trace check counts those calls.
+one sample.  The side arrays then go to ``solve_triangles``, the solve path
+graph and fractal triangles share: one ``curvature_from_triangle`` call per
+triangle, a few bracketed Newton steps on the half-angle cosine rule
+(about 2.3 on earth triangles).  The solves stay one call per triangle
+because perfbench's trace check counts those calls.
 
 Defaults use the stated earth parameters: equatorial 6378 km, polar
 6357 km.  On that spheroid the pointwise radius 1/sqrt(Gaussian curvature)
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import (
-    TriangleSample,
+    check_length_scale,
     mean_and_standard_error,
     require_accepted,
     solve_triangles,
@@ -136,7 +137,7 @@ def _retried_hypotenuses(spheroid, leg_a, leg_b, streams):
 
 
 def sample_spheroid_triangle(spheroid, leg_a, leg_b, rng):
-    """One geodesic right triangle (legA, legB, averaged hypotenuse).
+    """One geodesic right triangle: the floats (legA, legB, averaged hypotenuse).
 
     A construction that is not kept draws a new midpoint and azimuth, up to
     _STALL_LIMIT times: ``_retried_hypotenuses`` on one sample.
@@ -146,24 +147,21 @@ def sample_spheroid_triangle(spheroid, leg_a, leg_b, rng):
     if max(leg_a, leg_b) >= _quarter_minor_circumference(spheroid):
         raise ValueError("legs must stay below a quarter of the minor circumference")
     c = _retried_hypotenuses(spheroid, np.array([leg_a]), np.array([leg_b]), [(1, rng)])
-    return TriangleSample(a=leg_a, b=leg_b, c=float(c[0]))
+    return float(leg_a), float(leg_b), float(c[0])
 
 
 def _triangles(spheroid, leg_range, streams):
-    """The triangles of every chunk, with legs from ``leg_range``, built as arrays.
+    """The side arrays (leg_a, leg_b, c) of every chunk's triangles, legs from ``leg_range``.
 
     ``streams`` holds each chunk's (count, generator), in chunk order.  One
     ``uniform`` call per chunk draws each sample's two legs; then every
     sample's construction is drawn and built together, round after round, in
-    ``_retried_hypotenuses``.  A generator: nothing is drawn before the first
-    triangle is asked for, and then every triangle is built.
+    ``_retried_hypotenuses``.
     """
     if not streams:
-        return
+        return np.empty(0), np.empty(0), np.empty(0)
     legs = np.concatenate([gen.uniform(*leg_range, (count, 2)) for count, gen in streams])
-    c = _retried_hypotenuses(spheroid, legs[:, 0], legs[:, 1], streams)
-    for a, b, h in zip(legs[:, 0].tolist(), legs[:, 1].tolist(), c.tolist()):
-        yield TriangleSample(a=a, b=b, c=h)
+    return legs[:, 0], legs[:, 1], _retried_hypotenuses(spheroid, legs[:, 0], legs[:, 1], streams)
 
 
 @dataclass
@@ -222,8 +220,10 @@ def estimate_earth_radius(spheroid=None, n_samples=10**4, leg_range=DEFAULT_LEG_
         raise ValueError(f"leg_range must satisfy 0 < min <= max < a quarter of the minor "
                          f"circumference, got {tuple(leg_range)}")
 
-    ks, rejected = solve_triangles(_triangles(spheroid, leg_range, chunk_streams(n_samples, rng)),
+    check_length_scale(max_length_scale)
+    ks, rejected = solve_triangles(*_triangles(spheroid, leg_range, chunk_streams(n_samples, rng)),
                                    max_length_scale)
+    ks = ks[~np.isnan(ks)].tolist()
     radii = np.asarray([radius_from_curvature(k) for k in ks if k > 0], dtype=np.float64)
     neg, other = len(ks) - radii.size, sum(rejected.values())
     require_accepted(radii.size, n_samples, {**rejected, "non_positive_k": neg})

@@ -18,6 +18,10 @@ The six symmetries of the triangle permute the barycentric coordinates
 (x, y, 2^n - x - y) of the vertices and map each pair {v, w}, with its
 midpoints, apexes and shapes, onto another.  So the enumeration expands
 one pair per orbit and counts it once for each pair of the orbit.
+
+Curvatures come per shape, not per sample: the sorted shapes of a tally
+go as side arrays to ``solve_triangles``, the solve path that graph and
+earth triangles take too, and each K is weighted by its shape's count.
 """
 
 import math
@@ -27,8 +31,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .curvature import RootNotFound, curvature_from_triangle
-from .errors import LevelTooLarge, SamplingStalled, TriangleInequalityViolated
+from .curvature import solve_triangles
+from .errors import LevelTooLarge, SamplingStalled
 from .graphs import Graph, _hop_distances
 
 _MAX_LEVEL = 12          # construction memory guard
@@ -228,8 +232,9 @@ def sample_fractal_triangle_counts(sg, m, rng):
 def solve_shapes(counts, edge_scale, level):
     """([(K scaled by edge_scale^(-2 level), count)], rejected count) of a shape tally.
 
-    ``counts`` maps (a,b,c) hop triples to counts; solved shapes come in
-    sorted shape order, and the counts of shapes without a root are summed.
+    ``counts`` maps (a,b,c) hop triples to counts.  The sorted shapes go to
+    ``solve_triangles`` as side arrays; solved shapes come in that order,
+    and the counts of shapes without a root are summed.
     """
     if not 0 < edge_scale < math.inf:
         raise ValueError(f"edge_scale must be finite and > 0, got {edge_scale!r}")
@@ -237,15 +242,11 @@ def solve_shapes(counts, edge_scale, level):
         raise ValueError(f"edge_scale ** (-2 * level) must lie in [1e-{_SCALE_DECADES}, "
                          f"1e{_SCALE_DECADES}], got {edge_scale!r} ** {-2 * level}")
     scale = float(edge_scale) ** (-2 * level)
-    solved, rejected = [], 0
-    for (a, b, c), cnt in sorted(counts.items()):
-        try:
-            k = curvature_from_triangle(float(a), float(b), float(c))
-        except (TriangleInequalityViolated, RootNotFound):
-            rejected += cnt
-            continue
-        solved.append((k * scale, cnt))
-    return solved, rejected
+    shapes = sorted(counts)
+    ks, _ = solve_triangles(*np.array(shapes, dtype=np.float64).reshape(-1, 3).T)
+    tally = list(zip(ks.tolist(), (counts[shape] for shape in shapes)))
+    return ([(k * scale, cnt) for k, cnt in tally if not math.isnan(k)],
+            sum(cnt for k, cnt in tally if math.isnan(k)))
 
 
 def fractal_curvature_stats(counts, edge_scale, level):

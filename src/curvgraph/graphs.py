@@ -217,7 +217,11 @@ def save_geometric_graph(gg, prefix):
 
 
 def load_geometric_graph(prefix):
-    """Read ``<prefix>.edges`` and its sidecar; malformed input raises InvalidInput."""
+    """Read ``<prefix>.edges`` and its sidecar; malformed input raises InvalidInput.
+
+    That includes a coordinate row that is not finite or not on the
+    manifold (``Manifold.outside``); the error names the first such vertex.
+    """
     graph = load_edge_list(f"{prefix}.edges")
     with open(f"{prefix}.json") as fh:
         sidecar = json.load(fh)
@@ -247,6 +251,10 @@ def load_geometric_graph(prefix):
     if bad.size:
         raise InvalidInput(f"{prefix}.json: coordinates must be finite, but vertex {bad[0]} "
                            f"has {coordinates[bad[0]].tolist()}")
+    bad = np.flatnonzero(manifold.outside(coordinates))
+    if bad.size:
+        raise InvalidInput(f"{prefix}.json: vertex {bad[0]} at {coordinates[bad[0]].tolist()} "
+                           f"does not lie on {manifold!r}")
     return GeometricGraph(
         graph,
         manifold,

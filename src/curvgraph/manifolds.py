@@ -1,9 +1,9 @@
 """Constant-curvature spaces and the oblate spheroid.
 
 Each manifold provides uniform sampling with respect to its area/volume
-measure and exact geodesic distance; the spheroid also solves the direct
-geodesic problem, which earth-radius triangles are built with.  Points are
-plain numpy arrays:
+measure, exact geodesic distance and a check that points lie on it; the
+spheroid also solves the direct geodesic problem, which earth-radius
+triangles are built with.  Points are plain numpy arrays:
 
 * spheres: embedding coordinates with norm equal to the radius
   (3 components for the 2-sphere, 4 for the 3-sphere),
@@ -27,6 +27,9 @@ _REJECTION_CAP = 10**6
 _MIN_CANDIDATES = 64
 # largest hyperbolic R/k with cosh(R/k)^2 finite
 _MAX_HYPERBOLIC_RATIO = math.acosh(math.sqrt(sys.float_info.max))
+# relative slack of ``Manifold.outside``: a sampled point's norm or radius is
+# within a few ulps of the sphere's radius or the disk's rim
+_ON_MANIFOLD_RTOL = 1e-9
 
 
 class Manifold:
@@ -48,9 +51,13 @@ class Manifold:
     def sample_point(self, rng):
         return self.sample_points(1, rng)[0]
 
-    def distance(self, p, q):
-        """Geodesic distance between two points."""
-        return float(self.distances_from(p, np.asarray(q)[None, :])[0])
+    def outside(self, points):
+        """Mask of the rows of ``points`` that do not lie on the manifold.
+
+        Each manifold states its bound; where rounding can put a sampled
+        point past it, the bound has a relative slack of _ON_MANIFOLD_RTOL.
+        """
+        raise NotImplementedError
 
     def distances_from(self, p, qs):
         """Geodesic distances from ``p`` to each row of ``qs``.
@@ -125,6 +132,10 @@ class _EmbeddedSphere(Manifold):
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         return v * self.radius
 
+    def outside(self, points):
+        # the norm, within the slack of the radius
+        return np.abs(np.linalg.norm(points / self.radius, axis=1) - 1.0) > _ON_MANIFOLD_RTOL
+
     def distances_from(self, p, qs):
         # Dot products column by column, not ``qs @ p``: a BLAS product rounds
         # a row differently with the number of rows, and arccos near 1 turns
@@ -180,6 +191,11 @@ class HyperbolicDisk(Manifold):
         theta = rng.random(n) * (2.0 * math.pi)
         return np.column_stack([r, theta])
 
+    def outside(self, points):
+        # 0 <= r <= R, with the slack at the rim; any angle
+        r = points[:, 0]
+        return (r < 0.0) | (r > self.disk_radius * (1.0 + _ON_MANIFOLD_RTOL))
+
     def distances_from(self, p, qs):
         """Hyperbolic law of cosines from ``p`` (one or aligned) to each row of ``qs``.
 
@@ -224,6 +240,10 @@ class EuclideanDisk(Manifold):
         r = self.radius * np.sqrt(rng.random(n))
         theta = rng.random(n) * (2.0 * math.pi)
         return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+    def outside(self, points):
+        # |x| <= R, with the slack at the rim
+        return np.hypot(points[:, 0], points[:, 1]) > self.radius * (1.0 + _ON_MANIFOLD_RTOL)
 
     def distances_from(self, p, qs):
         return np.linalg.norm(qs - np.asarray(p), axis=1)
@@ -302,6 +322,10 @@ class Spheroid(Manifold):
             out[filled : filled + sel.size] = np.column_stack([lat[sel], lon[sel]])
             filled += sel.size
         return out
+
+    def outside(self, points):
+        # |lat| <= pi/2 with no slack, as sampled; any longitude
+        return np.abs(points[:, 0]) > math.pi / 2
 
     def distance(self, p, q):
         """Geodesic distance between points, or between rows of point arrays.

@@ -20,6 +20,7 @@ from curvgraph.rng import substream
 from curvgraph.wolfram import VOLUME_QUARTIC
 
 from cli_env import cli_env
+from oracles import forward_hypotenuse
 from sierpinski_oracle import brute_force_counts
 
 SPHERE_SEED = 101
@@ -85,7 +86,7 @@ def test_criterion_1_root_solver_oracle():
             while max(a, b) * math.sqrt(k) >= 0.999 * math.pi:
                 a *= 0.5
                 b *= 0.5
-        c = cg.forward_hypotenuse(a, b, k)
+        c = forward_hypotenuse(a, b, k)
         got = cg.curvature_from_triangle(a, b, c)
         worst = max(worst, abs(got - k) / abs(k))
         assert math.copysign(1, got) == math.copysign(1, a * a + b * b - c * c)

@@ -449,6 +449,10 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
         (tmp_path / f"{name}.edges").write_text((tmp_path / "ok.edges").read_text())
         (tmp_path / f"{name}.json").write_text(json.dumps(
             {**sidecar, "coordinates": [[1.0, 0, 0], [0, value, 0], [0, 0, 1.0]]}))
+    # coordinates scaled off the unit sphere, to norm 3
+    (tmp_path / "off.edges").write_text((tmp_path / "ok.edges").read_text())
+    (tmp_path / "off.json").write_text(json.dumps(
+        {**sidecar, "coordinates": [[3.0, 0, 0], [0, 3.0, 0], [0, 0, 3.0]]}))
     (tmp_path / "tri.edges").write_text("3 3\n0 1\n0 2\n1 2\n")
     (tmp_path / "tri.json").write_text((tmp_path / "ok.json").read_text())
     # coordinates one too narrow or too wide for the manifold
@@ -524,6 +528,10 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
            f"{tmp_path / name}.json: coordinates must be finite, but vertex 1 has "
            f"{[0.0, value, 0.0]}")
           for name, value in non_finite.items()
+          for command, *more in (("distortion",), ("curvature", "--samples", 50))],
+        *[((command, "--graph", tmp_path / "off", *more, "--seed", 1), "InvalidInput",
+           f"{tmp_path / 'off'}.json: vertex 0 at [3.0, 0.0, 0.0] does not lie on "
+           "Sphere2(radius=1.0)")
           for command, *more in (("distortion",), ("curvature", "--samples", 50))],
         (("fractal", "--level", 2, "--samples", -5, "--seed", 1), "ValueError", "need m >= 1"),
         (("fractal", "--level", 12, "--exact", "--seed", 1), "LevelTooLarge",

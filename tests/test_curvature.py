@@ -15,14 +15,14 @@ from curvgraph import (
     bfs_hops,
     curvature_from_triangle,
     estimate_curvature,
-    forward_hypotenuse,
     hop_window,
     ricci_scalar_from_mean_sectional,
     sample_triangle,
     sprinkle,
     vertex_curvature,
 )
-from curvgraph.curvature import _RETRIES, CurvatureReport, TriangleSample, _trimmed_mean
+from curvgraph import curvature
+from curvgraph.curvature import _RETRIES, CurvatureReport, _trimmed_mean, solve_triangles
 from curvgraph.errors import (
     InvalidInput,
     NoCandidate,
@@ -30,6 +30,7 @@ from curvgraph.errors import (
     TooFewAccepted,
     TriangleInequalityViolated,
 )
+from oracles import forward_hypotenuse
 
 
 # --- root solver ----------------------------------------------------------
@@ -323,7 +324,7 @@ def test_sample_triangle_c12_degenerate_rejected():
     g = cycle(12)
     rng = np.random.default_rng(65)
     with pytest.raises(NoCandidate):
-        sample_triangle(g, 1.0, 2, 2, rng, apex_row=(0, bfs_hops(g, 0)))
+        sample_triangle(g, 2, 2, rng, apex_row=(0, bfs_hops(g, 0)))
 
 
 def test_sample_triangle_grid_center():
@@ -336,24 +337,22 @@ def test_sample_triangle_grid_center():
     found = 0
     for _ in range(20):
         try:
-            tri = sample_triangle(g, 1.0, 2, 4, rng, apex_row=apex_row)
+            (a_h, b_h, c_h), (apex, v, w, mid) = sample_triangle(g, 2, 4, rng, apex_row=apex_row)
         except NoCandidate:
             continue
         found += 1
-        du = bfs_hops(g, tri.apex)
-        dv = bfs_hops(g, tri.base_end1)
-        dw = bfs_hops(g, tri.base_end2)
-        a_h, b_h, c_h = tri.hops
-        assert tri.apex == center
-        assert du[tri.base_end1] == du[tri.base_end2] == c_h
-        assert dv[tri.base_end2] == 2 * b_h  # b is half the base
-        assert dv[tri.midpoint] == dw[tri.midpoint] == b_h  # on a shortest path
-        assert du[tri.midpoint] == a_h
-        assert (tri.a, tri.b, tri.c) == (a_h * 1.0, b_h * 1.0, c_h * 1.0)
+        du = bfs_hops(g, apex)
+        dv = bfs_hops(g, v)
+        dw = bfs_hops(g, w)
+        assert apex == center
+        assert du[v] == du[w] == c_h
+        assert dv[w] == 2 * b_h  # b is half the base
+        assert dv[mid] == dw[mid] == b_h  # on a shortest path
+        assert du[mid] == a_h
     assert found > 0
 
 
-def full_mask_triangle(g, l_e, s_min_hops, s_max_hops, rng, apex_row=None):
+def full_mask_triangle(g, s_min_hops, s_max_hops, rng, apex_row=None):
     """The triangle search with full-length candidate masks: the reference for
     the hop-ring filters of curvature.sample_triangle."""
     c_min = math.ceil(math.sqrt(2.0) * s_min_hops)
@@ -384,12 +383,7 @@ def full_mask_triangle(g, l_e, s_min_hops, s_max_hops, rng, apex_row=None):
         if m_cand.size == 0:
             continue
         mid = int(m_cand[rng.integers(m_cand.size)])
-        a_h, b_h, c_h = int(du[mid]), half, int(du[v])
-        return TriangleSample(
-            a=a_h * l_e, b=b_h * l_e, c=c_h * l_e,
-            apex=u, base_end1=v, base_end2=w, midpoint=mid,
-            hops=(a_h, b_h, c_h),
-        )
+        return (int(du[mid]), half, int(du[v])), (u, v, w, mid)
     raise NoCandidate(f"no valid triangle after {_RETRIES} retries")
 
 
@@ -414,10 +408,9 @@ def test_sample_triangle_matches_full_masks():
         for seed in range(12):
             for apex in (None, seed % g.vertex_count):
                 apex_row = None if apex is None else (apex, bfs_hops(g, apex))
-                got = _outcome(partial(sample_triangle, g, 0.1, s_min, s_max, apex_row=apex_row),
+                got = _outcome(partial(sample_triangle, g, s_min, s_max, apex_row=apex_row),
                                np.random.default_rng([case, seed]))
-                want = _outcome(partial(full_mask_triangle, g, 0.1, s_min, s_max,
-                                        apex_row=apex_row),
+                want = _outcome(partial(full_mask_triangle, g, s_min, s_max, apex_row=apex_row),
                                 np.random.default_rng([case, seed]))
                 assert got == want, (case, seed, apex)
                 outcomes[got[0] is NoCandidate] += 1
@@ -427,9 +420,110 @@ def test_sample_triangle_matches_full_masks():
 def test_sample_triangle_deterministic():
     rng = np.random.default_rng(67)
     gg = sprinkle(Sphere2(1.0), 300, 0.25, rng=rng)
-    s1 = [sample_triangle(gg.graph, 0.2, 3, 8, np.random.default_rng(7)).hops for _ in range(1)]
-    s2 = [sample_triangle(gg.graph, 0.2, 3, 8, np.random.default_rng(7)).hops for _ in range(1)]
+    s1 = [sample_triangle(gg.graph, 3, 8, np.random.default_rng(7))[0] for _ in range(1)]
+    s2 = [sample_triangle(gg.graph, 3, 8, np.random.default_rng(7))[0] for _ in range(1)]
     assert s1 == s2
+
+
+@pytest.mark.parametrize("per_vertex", [False, True])
+def test_run_sides_are_hop_sides_times_edge_length(monkeypatch, per_vertex):
+    # the estimators scale a run's hop sides by l_e in one array product: each
+    # side solved has the bits of its hop count times l_e, and a draw without
+    # a candidate is a row of NaN
+    drawn, solved = [], []
+    sample, solve = curvature.sample_triangle, curvature.solve_triangles
+
+    def recorded_sample(*args, **kwargs):
+        try:
+            hops, vertices = sample(*args, **kwargs)
+        except NoCandidate:
+            drawn.append(None)
+            raise
+        drawn.append(hops)
+        return hops, vertices
+
+    def recorded_solve(a, b, c, *rest):
+        solved.extend(zip(a.tolist(), b.tolist(), c.tolist()))
+        return solve(a, b, c, *rest)
+
+    monkeypatch.setattr(curvature, "sample_triangle", recorded_sample)
+    monkeypatch.setattr(curvature, "solve_triangles", recorded_solve)
+    g = sprinkle(Sphere2(1.0), 300, 0.25, rng=np.random.default_rng(72)).graph
+    l_e = 0.1
+    if per_vertex:
+        vertex_curvature(g, l_e, 2, 7, 11, np.random.default_rng(8))
+    else:
+        estimate_curvature(g, l_e, 120, 7, 11, np.random.default_rng(8))
+    assert len(solved) == len(drawn) > 0
+    assert None in drawn
+    for hops, sides in zip(drawn, solved):
+        if hops is None:
+            assert all(math.isnan(x) for x in sides)
+        else:
+            assert sides == tuple(h * l_e for h in hops)
+
+
+# --- one solve path ---------------------------------------------------------
+
+_NAN = math.nan
+
+
+@st.composite
+def side_rows(draw):
+    """One (a, b, c) row of a kind every outcome of solve_triangles has."""
+    kind = draw(st.sampled_from(["no_candidate", "valid", "over_length", "inequality",
+                                 "no_root", "at_scale"]))
+    a, b = draw(st.floats(0.01, 3.0)), draw(st.floats(0.01, 3.0))
+    if kind == "at_scale":
+        # a longest side at the length scale 10 is kept, one an ulp above it is not
+        return draw(st.sampled_from([(6.0, 8.0, 10.0), (7.0, 7.5, 10.0),
+                                     (7.0, 7.5, math.nextafter(10.0, math.inf))]))
+    if kind == "no_candidate":
+        return draw(st.sampled_from([(_NAN, _NAN, _NAN), (a, b, _NAN), (_NAN, b, a)]))
+    if kind == "inequality":
+        return draw(st.sampled_from([(a, b, a + b), (a, b, 2.0 * (a + b)), (0.0, b, b),
+                                     (-a, b, b)]))
+    if kind == "no_root":
+        scale = draw(st.sampled_from([1e-300, 1e-320, 1e200]))
+        return scale, scale, 1.2 * scale
+    c = forward_hypotenuse(a, b, draw(st.sampled_from([1.0, -1.0, 0.0])))
+    return (a, b, c) if kind == "valid" else (100.0 * a, 100.0 * b, 100.0 * c)
+
+
+def _solve_one_by_one(rows, max_length_scale):
+    """A plain per-row curvature_from_triangle loop: K or NaN, and (reason, count) items."""
+    ks, reasons = [], []
+    for sides in rows:
+        k = _NAN
+        if any(math.isnan(x) for x in sides):
+            reasons.append("no_candidate")
+        elif max_length_scale is not None and max(sides) > max_length_scale:
+            reasons.append("max_length_scale")
+        else:
+            try:
+                k = curvature_from_triangle(*sides)
+            except TriangleInequalityViolated:
+                reasons.append("triangle_inequality")
+            except RootNotFound:
+                reasons.append("root_not_found")
+        ks.append(k)
+    return ks, [(r, reasons.count(r)) for r in dict.fromkeys(reasons)]
+
+
+@settings(max_examples=200, deadline=None)
+@example(rows=[(6.0, 8.0, 10.0), (7.0, 7.5, math.nextafter(10.0, math.inf)), (_NAN,) * 3,
+               (1.0, 1.0, 2.0), (1e-300, 1e-300, 1.2e-300), (1.0, 1.0, 1.2), (1.0, 1.0, 1.2)],
+         max_length_scale=10.0)
+@given(rows=st.lists(side_rows(), max_size=40),
+       max_length_scale=st.sampled_from([None, 10.0, 1e250]))
+def test_solve_triangles_equals_one_by_one(rows, max_length_scale):
+    a, b, c = np.array(rows, dtype=np.float64).reshape(-1, 3).T
+    ks, rejected = solve_triangles(a, b, c, max_length_scale)
+    want_ks, want_rejected = _solve_one_by_one(rows, max_length_scale)
+    assert ks.dtype == np.float64 and ks.shape == (len(rows),)
+    for got, want in zip(ks.tolist(), want_ks, strict=True):
+        assert got.hex() == want.hex() or math.isnan(got) and math.isnan(want)
+    assert list(rejected.items()) == want_rejected
 
 
 # --- report and estimation -------------------------------------------------

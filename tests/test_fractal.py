@@ -8,13 +8,13 @@ from curvgraph import (
     bfs_hops,
     curvature_from_triangle,
     enumerate_fractal_triangle_counts,
-    forward_hypotenuse,
     fractal_curvature_stats,
     sample_fractal_triangle_counts,
     sierpinski_graph,
 )
 from curvgraph import fractal
 from curvgraph.errors import LevelTooLarge, SamplingStalled
+from oracles import forward_hypotenuse
 from sierpinski_oracle import brute_force_counts, full_pair_counts
 
 

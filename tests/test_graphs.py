@@ -1,5 +1,12 @@
+import contextlib
+import io
+import json
 import math
+import re
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +28,8 @@ from curvgraph.errors import Disconnected, InvalidInput
 from curvgraph.fractal import SierpinskiGraph
 from curvgraph.graphs import GeometricGraph, load_geometric_graph, save_geometric_graph
 from curvgraph.manifolds import EuclideanDisk, HyperbolicDisk, Sphere2, Sphere3, Spheroid
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def cycle(n):
@@ -280,3 +289,68 @@ def test_sidecar_refuses_non_finite_coordinates(tmp_path, value):
     assert ("NaN" if math.isnan(value) else "Infinity") in (tmp_path / "g.json").read_text()
     with pytest.raises(InvalidInput, match=r"g\.json: coordinates must be finite, but vertex 2 "):
         load_geometric_graph(prefix)
+
+
+# (manifold, a point at its bound, two points just past it or far off it)
+ON_MANIFOLD_BOUNDS = [
+    (Sphere2(2.0), [0.0, 0.0, 2.0], ([0.0, 0.0, 2.0 * (1 + 1e-8)], [0.0, 6.0, 0.0])),
+    (Sphere3(1.0), [0.0, 0.0, 0.0, -1.0], ([0.0, 1 - 1e-8, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0])),
+    (HyperbolicDisk(1.0, 2.0), [2.0, 7.0], ([2.0 * (1 + 1e-8), 0.0], [-0.5, 1.0])),
+    (EuclideanDisk(2.0), [0.0, -2.0], ([2.0 * (1 + 1e-8), 0.0], [3.0, 3.0])),
+    (Spheroid(6378.0, 6357.0), [-math.pi / 2, 9.0], ([1.6, 0.0], [-1.6, 0.0])),
+]
+
+
+@pytest.mark.parametrize("manifold, at_bound, off", ON_MANIFOLD_BOUNDS,
+                         ids=lambda x: getattr(x, "kind", None))
+def test_sidecar_refuses_coordinates_off_the_manifold(tmp_path, manifold, at_bound, off):
+    # a point at the manifold's bound loads; one just past it, or far off it,
+    # is refused with the file and the first such vertex
+    points = manifold.sample_points(4, np.random.default_rng(0))
+    points[3] = at_bound
+    prefix = tmp_path / "g"
+    save_geometric_graph(GeometricGraph(path(4), manifold, points, 1.0, 0.25), prefix)
+    assert np.array_equal(load_geometric_graph(prefix).coordinates, points)
+    for point in off:
+        points[1] = points[2] = point
+        save_geometric_graph(GeometricGraph(path(4), manifold, points, 1.0, 0.25), prefix)
+        message = rf"g\.json: vertex 1 at \[.*\] does not lie on {re.escape(repr(manifold))}$"
+        with pytest.raises(InvalidInput, match=message):
+            load_geometric_graph(prefix)
+
+
+@pytest.mark.parametrize("manifold", [
+    '{"type":"sphere2","radius":1.0}', '{"type":"sphere3","radius":1.0}',
+    '{"type":"hyperbolic","curvature_scale":1.0,"disk_radius":1.762747174039086}',
+    '{"type":"euclidean","radius":2.0}',
+    '{"type":"spheroid","equatorial_radius":6378.0,"polar_radius":6357.0}',
+])
+def test_every_sprinkled_graph_loads(tmp_path, manifold):
+    # every graph `sprinkle` writes, on seeds 1-5, passes the load checks; a
+    # run that fails (the earth spheroid's distortion report can meet a
+    # near-antipodal pair) writes nothing
+    from curvgraph import cli
+
+    for seed in range(1, 6):
+        prefix = str(tmp_path / f"g{seed}")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(["sprinkle", "--manifold", manifold, "--n", "150", "--out", prefix,
+                             "--seed", str(seed)])
+        if code:
+            assert '"error":"SpheroidNonConvergence"' in err.getvalue()
+            assert not list(tmp_path.glob(f"g{seed}.*"))
+            continue
+        gg = load_geometric_graph(prefix)
+        assert gg.vertex_count == 150 and not gg.manifold.outside(gg.coordinates).any()
+
+
+def test_benchmark_graphs_load(tmp_path):
+    # the benchmark's stored V=5000 graphs, written by `sprinkle --l`, load
+    out = subprocess.run([sys.executable, str(REPO / "perfbench" / "make_graphs.py"),
+                          "--dir", str(tmp_path), "--seed", "1"],
+                         capture_output=True, text=True, check=True).stdout
+    graphs = json.loads(out)["graphs"]
+    assert len(graphs) == 2
+    for graph in graphs:
+        assert load_geometric_graph(graph["prefix"]).vertex_count == 5000

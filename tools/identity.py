@@ -48,7 +48,10 @@ def _cases():
                  "--include-samples"],
                 ["curvature", *stored, "--samples", "3", "--per-vertex"],
                 ["wolfram", *stored, "--vertices", "200"],
-            ]))
+            ] + ([
+                # about half the draws rejected for their length scale
+                ["curvature", *stored, "--samples", "400", "--max-length", "2"],
+            ] if kind == "sphere" else [])))
         cases += [
             (f"euclidean-{seed}", [_sprinkle(EUCLIDEAN, 1000, seed)]),
             (f"sphere3-{seed}", [_sprinkle(SPHERE3, 500, seed)]),
@@ -58,6 +61,14 @@ def _cases():
             (f"earth-{seed}", [["earth", "--samples", "3000", "--max-length", "6400",
                                 "--out", "radii", "--seed", s]]),
         ]
+    cases += [
+        ("earth-no-max-length-1", [["earth", "--samples", "2000", "--out", "radii",
+                                    "--seed", "1"]]),
+        # every draw rejected: TooFewAccepted names the tally in its order
+        ("earth-too-few-1", [["earth", "--samples", "200", "--max-length", "1", "--seed", "1"]]),
+        ("fractal-scaled-1", [["fractal", "--level", "3", "--samples", "500", "--edge-scale",
+                               "0.5", "--out", "k", "--seed", "1"]]),
+    ]
     cases += [
         ("fractal-exact-1", [["fractal", "--level", "5", "--exact", "--out", "k", "--seed", "1"]]),
         ("fractal-sampled-1", [["fractal", "--level", "4", "--samples", "5000", "--seed", "1"]]),
