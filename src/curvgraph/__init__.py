@@ -30,7 +30,6 @@ from .earth import (
     estimate_earth_radius,
     expected_radius_pdf,
     ks_distance_to_expected,
-    radius_from_curvature,
     sample_spheroid_triangle,
 )
 from .fractal import (

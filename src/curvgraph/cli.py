@@ -21,7 +21,6 @@ from .errors import CurvGraphError, Disconnected, InvalidInput
 from .fractal import (
     enumerate_fractal_triangle_counts,
     fractal_curvature_stats,
-    require_all_pairs,
     sample_fractal_triangle_counts,
     sierpinski_graph,
     solve_shapes,
@@ -178,9 +177,6 @@ def _cmd_converge(args):
 
 def _cmd_fractal(args):
     rng = substream(args.seed, _TAG["fractal"])
-    # both draws enumerate the tally, which needs all-pairs hops: refuse a
-    # level they cannot take before its graph is built
-    require_all_pairs(args.level)
     sg = sierpinski_graph(args.level)
     if args.exact:
         counts = enumerate_fractal_triangle_counts(sg)

@@ -412,13 +412,16 @@ def estimate_curvature(g, l_e, n_samples, s_min_hops=None, s_max_hops=None,
     sub-stream spawned from ``rng``, and merged in chunk order, so the
     result depends only on ``rng`` and the arguments.  Samples whose
     construction or root solve fails are tallied by reason, not propagated.
-    A missing hop-window end comes from :func:`hop_window`; a window that
-    is empty, or starts below 2, raises InvalidInput.
+    An ``l_e`` that is not finite and > 0 raises ValueError before anything
+    is drawn.  A missing hop-window end comes from :func:`hop_window`; a
+    window that is empty, or starts below 2, raises InvalidInput.
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
+    if not 0 < l_e < math.inf:
+        raise ValueError(f"l_e must be finite and > 0, got {l_e!r}")
     if not is_connected(g):
         raise Disconnected("curvature estimation requires a connected graph")
     s_min_hops, s_max_hops = hop_window(g, rng, s_min_hops, s_max_hops)
@@ -434,17 +437,19 @@ def estimate_curvature(g, l_e, n_samples, s_min_hops=None, s_max_hops=None,
 def vertex_curvature(g, l_e, samples_per_vertex, s_min_hops=None, s_max_hops=None, rng=None):
     """Mean curvature per vertex over triangles having that vertex as apex.
 
-    The hop window is resolved as in :func:`estimate_curvature`, before
-    one sub-stream per vertex is spawned from ``rng``.  Returns an array
-    with NaN for vertices with no accepted sample; a disconnected graph
-    raises Disconnected, as it does for :func:`estimate_curvature`, and
-    when no vertex has an accepted sample TooFewAccepted names the
-    rejections summed over every vertex.
+    ``l_e`` and the hop window are checked and resolved as in
+    :func:`estimate_curvature`, before one sub-stream per vertex is spawned
+    from ``rng``.  Returns an array with NaN for vertices with no accepted
+    sample; a disconnected graph raises Disconnected, as it does for
+    :func:`estimate_curvature`, and when no vertex has an accepted sample
+    TooFewAccepted names the rejections summed over every vertex.
     """
     if samples_per_vertex < 1:
         raise ValueError("need samples_per_vertex >= 1")
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
+    if not 0 < l_e < math.inf:
+        raise ValueError(f"l_e must be finite and > 0, got {l_e!r}")
     if not is_connected(g):
         raise Disconnected("per-vertex curvature requires a connected graph")
     s_min_hops, s_max_hops = hop_window(g, rng, s_min_hops, s_max_hops)

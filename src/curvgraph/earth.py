@@ -42,7 +42,7 @@ from .curvature import (
     solve_triangles,
     write_column_csv,
 )
-from .errors import NonPositiveCurvature, SamplingStalled
+from .errors import SamplingStalled
 from .manifolds import Spheroid
 from .rng import chunk_streams
 
@@ -59,13 +59,6 @@ _STALL_LIMIT = 10**3
 
 def earth_spheroid():
     return Spheroid(EARTH_EQUATORIAL_KM, EARTH_POLAR_KM)
-
-
-def radius_from_curvature(curvature):
-    """R = 1/sqrt(K); raises for K <= 0."""
-    if curvature <= 0:
-        raise NonPositiveCurvature(f"cannot take a radius for K = {curvature}")
-    return 1.0 / math.sqrt(curvature)
 
 
 def expected_radius_pdf(radius_km):
@@ -223,9 +216,9 @@ def estimate_earth_radius(spheroid=None, n_samples=10**4, leg_range=DEFAULT_LEG_
     check_length_scale(max_length_scale)
     ks, rejected = solve_triangles(*_triangles(spheroid, leg_range, chunk_streams(n_samples, rng)),
                                    max_length_scale)
-    ks = ks[~np.isnan(ks)].tolist()
-    radii = np.asarray([radius_from_curvature(k) for k in ks if k > 0], dtype=np.float64)
-    neg, other = len(ks) - radii.size, sum(rejected.values())
+    ks = ks[~np.isnan(ks)]
+    radii = 1.0 / np.sqrt(ks[ks > 0])
+    neg, other = ks.size - radii.size, sum(rejected.values())
     require_accepted(radii.size, n_samples, {**rejected, "non_positive_k": neg})
     ks_distance = None if max_length_scale is None else ks_distance_to_expected(radii)
     return EarthRadiusReport(radii, *mean_and_standard_error(radii), rejected_negative_k=neg,

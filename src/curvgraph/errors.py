@@ -10,7 +10,11 @@ class InvalidInput(CurvGraphError, ValueError):
 
 
 class SpheroidNonConvergence(CurvGraphError):
-    """The iterative inverse geodesic failed (typically a near-antipodal pair)."""
+    """``Spheroid.distances_from`` met an inverse geodesic that did not converge.
+
+    Typically a near-antipodal pair; ``Spheroid.distance`` and
+    ``Spheroid.direct`` answer NaN for such an element instead.
+    """
 
 
 class SamplingFailure(CurvGraphError):
@@ -50,12 +54,8 @@ class DegenerateFit(CurvGraphError):
 
 
 class LevelTooLarge(CurvGraphError):
-    """Requested fractal iteration exceeds the memory guard."""
+    """Requested fractal level is above 6, where all-pairs hop distances stop."""
 
 
 class SamplingStalled(CurvGraphError):
     """Sampling cannot progress: too many consecutive rejections, or nothing to draw."""
-
-
-class NonPositiveCurvature(CurvGraphError):
-    """A radius was requested for a non-positive curvature value."""

@@ -35,8 +35,7 @@ from .curvature import solve_triangles
 from .errors import LevelTooLarge, SamplingStalled
 from .graphs import Graph, _hop_distances
 
-_MAX_LEVEL = 12          # construction memory guard
-_MAX_ALLPAIRS_LEVEL = 6  # the enumeration needs all-pairs distances
+_MAX_LEVEL = 6           # the enumeration needs all-pairs distances
 _BLOCK = 1 << 14         # hop-row cells or candidates expanded at once (memory bound)
 _SCALE_DECADES = 100     # scaled K, squared and weighted by counts, stays a normal float
 
@@ -64,8 +63,7 @@ class SierpinskiGraph:
         self._pairs = None
 
     def all_hops(self):
-        """Exact all-pairs hop distances, as int32 BFS rows (cached); levels <= 6 only."""
-        require_all_pairs(self.level)
+        """Exact all-pairs hop distances, as int32 BFS rows (cached)."""
         if self._hops is None:
             rows = [_hop_distances(self.graph, s) for s in range(self.graph.vertex_count)]
             self._hops = np.array(rows, dtype=np.int32)
@@ -85,24 +83,22 @@ class SierpinskiGraph:
         return np.array([at[bary[i], bary[j]] for i, j, _ in permutations(range(3))])
 
     def pair_table(self):
-        """The even-base pair table over symmetry orbits (cached); levels <= 6 only."""
+        """The even-base pair table over symmetry orbits (cached)."""
         if self._pairs is None:
             self._pairs = _build_pair_table(self.all_hops(), self.symmetries())
         return self._pairs
 
 
-def require_all_pairs(level):
-    """Raise LevelTooLarge for a level whose all-pairs distances the enumeration cannot take."""
-    if level > _MAX_ALLPAIRS_LEVEL:
-        raise LevelTooLarge(f"all-pairs distances limited to level {_MAX_ALLPAIRS_LEVEL}")
-
-
 def sierpinski_graph(level):
-    """Level-n Sierpinski triangle graph with unit edge lengths."""
+    """Level-n Sierpinski triangle graph with unit edge lengths, for 0 <= n <= 6.
+
+    Every use of the graph reads its all-pairs hop distances, which stop at
+    level 6, so a higher level raises LevelTooLarge before anything is built.
+    """
     if level < 0:
         raise ValueError("level must be >= 0")
     if level > _MAX_LEVEL:
-        raise LevelTooLarge(f"level {level} exceeds the guard of {_MAX_LEVEL}")
+        raise LevelTooLarge(f"all-pairs distances limited to level {_MAX_LEVEL}")
     offsets = [(0, 0)]
     for k in range(level):
         s = 2**k

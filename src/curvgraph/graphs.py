@@ -16,8 +16,8 @@ on every call.  Graphs are immutable after construction.
 """
 
 import json
-import math
 import operator
+import sys
 import warnings
 
 import numpy as np
@@ -145,12 +145,11 @@ def save_edge_list(g, path):
         fh.write(("%d %d\n" * g.edge_count) % tuple(np.column_stack([us, vs]).ravel().tolist()))
 
 
-def load_edge_list(path):
-    """Read the text edge-list format; a malformed file raises InvalidInput.
+def _read_edge_list(path):
+    """The header's vertex count and the (E, 2) int64 edge rows of an edge-list file.
 
-    The header "V E" must be followed by exactly E lines "u v" (blank
-    lines are skipped) naming distinct edges between vertices in [0, V),
-    with no self-loop.
+    Only the file's form is checked here, and nothing of the header's size
+    is built; a malformed file raises InvalidInput.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -169,10 +168,24 @@ def load_edge_list(path):
     if vcount < 0 or pairs.shape != (ecount, 2):
         raise InvalidInput(f"{path}: header 'V E' = {vcount} {ecount} but {len(pairs)} "
                            f"lines of {pairs.shape[1]} numbers follow")
+    return vcount, pairs
+
+
+def _edge_list_graph(path, vcount, pairs):
     try:
         return Graph(vcount, pairs[:, 0], pairs[:, 1])
     except ValueError as exc:
         raise InvalidInput(f"{path}: {exc}") from None
+
+
+def load_edge_list(path):
+    """Read the text edge-list format; a malformed file raises InvalidInput.
+
+    The header "V E" must be followed by exactly E lines "u v" (blank
+    lines are skipped) naming distinct edges between vertices in [0, V),
+    with no self-loop.
+    """
+    return _edge_list_graph(path, *_read_edge_list(path))
 
 
 class GeometricGraph:
@@ -217,12 +230,15 @@ def save_geometric_graph(gg, prefix):
 
 
 def load_geometric_graph(prefix):
-    """Read ``<prefix>.edges`` and its sidecar; malformed input raises InvalidInput.
+    """Read ``<prefix>.json`` and ``<prefix>.edges``; malformed input raises InvalidInput.
 
-    That includes a coordinate row that is not finite or not on the
-    manifold (``Manifold.outside``); the error names the first such vertex.
+    The sidecar is read and checked first, so of two faulty files the
+    sidecar's fault is reported.  Its checks include a coordinate row that
+    is not finite or not on the manifold (``Manifold.outside``); the error
+    names the first such vertex.  Then the edge list's header must give as
+    many vertices as the sidecar has coordinate rows, which is checked
+    before the graph is built.
     """
-    graph = load_edge_list(f"{prefix}.edges")
     with open(f"{prefix}.json") as fh:
         sidecar = json.load(fh)
     required = ("manifold", "connection_length", "tolerance", "coordinates")
@@ -235,7 +251,8 @@ def load_geometric_graph(prefix):
         raise InvalidInput(f"{prefix}.json: connection_length, tolerance and "
                            f"effective_edge_length must be numbers")
     for key in ("connection_length", "effective_edge_length"):
-        if key in sidecar and not 0 < sidecar[key] < math.inf:
+        # the upper bound also refuses a JSON integer too large for a float
+        if key in sidecar and not 0 < sidecar[key] <= sys.float_info.max:
             raise InvalidInput(f"{prefix}.json: {key} must be finite and > 0, "
                                f"got {sidecar[key]!r}")
     if not 0 < sidecar["tolerance"] <= 1:
@@ -243,7 +260,7 @@ def load_geometric_graph(prefix):
                            f"got {sidecar['tolerance']!r}")
     manifold = manifold_from_json(sidecar["manifold"])
     coordinates = np.asarray(sidecar["coordinates"], dtype=np.float64)
-    shape = (graph.vertex_count, manifold.coordinate_width)
+    shape = coordinates.shape[:1] + (manifold.coordinate_width,)
     if coordinates.shape != shape:
         raise InvalidInput(f"{prefix}.json: {manifold.kind} coordinates shaped "
                            f"{coordinates.shape}, not {shape}")
@@ -255,8 +272,12 @@ def load_geometric_graph(prefix):
     if bad.size:
         raise InvalidInput(f"{prefix}.json: vertex {bad[0]} at {coordinates[bad[0]].tolist()} "
                            f"does not lie on {manifold!r}")
+    vcount, pairs = _read_edge_list(f"{prefix}.edges")
+    if vcount != len(coordinates):
+        raise InvalidInput(f"{prefix}.edges: header vertex count {vcount} does not match the "
+                           f"{len(coordinates)} coordinate rows of {prefix}.json")
     return GeometricGraph(
-        graph,
+        _edge_list_graph(f"{prefix}.edges", vcount, pairs),
         manifold,
         coordinates,
         sidecar["connection_length"],

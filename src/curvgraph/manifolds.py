@@ -261,13 +261,14 @@ class Spheroid(Manifold):
     Geodesics use Vincenty's inverse and direct solutions (*Survey Review*
     23, 1975): reduced latitudes, an iterated longitude difference (inverse)
     or arc length (direct) and series in the flattening.  Both run over numpy
-    arrays.  Each element iterates until its own variable moves by less than
-    1e-12, at most 200 times, so it stops at the same step and gets the same
-    bits as a one-element call: a result never depends on its batch.  An
-    element that has not converged by then (near-antipodal inverse problems)
-    is NaN in an array call; a one-point call, and ``distances_from``, raise
-    :class:`SpheroidNonConvergence` instead, and callers reject such pairs.
-    Coincident points are at distance 0.
+    arrays and always answer with an array, a one-point call included.  Each
+    element iterates until its own variable moves by less than 1e-12, at
+    most 200 times, so it stops at the same step and gets the same bits as a
+    one-element call: a result never depends on its batch.  An element that
+    has not converged by then (near-antipodal inverse problems) is NaN, and
+    callers reject such pairs; only ``distances_from`` raises
+    :class:`SpheroidNonConvergence` instead.  Coincident points are at
+    distance 0.
     """
 
     kind = "spheroid"
@@ -331,7 +332,8 @@ class Spheroid(Manifold):
         """Geodesic distance between points, or between rows of point arrays.
 
         ``p`` and ``q`` are (lat, lon) points or arrays of them whose leading
-        shapes broadcast; one pair gives a float.
+        shapes broadcast; the result has the broadcast shape, NaN where an
+        element did not converge.
         """
         p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
         shape = np.broadcast_shapes(p.shape[:-1], q.shape[:-1])
@@ -387,11 +389,6 @@ class Spheroid(Manifold):
             go = ~stop
             idx, L, lam, sinU1, cosU1, sinU2, cosU2 = (
                 x[go] for x in (idx, L, lam, sinU1, cosU1, sinU2, cosU2))
-        if shape == ():
-            if idx.size:
-                raise SpheroidNonConvergence("inverse geodesic did not converge "
-                                             "(near-antipodal pair?)")
-            return float(dist[0])
         return dist.reshape(shape)
 
     def distances_from(self, p, qs):
@@ -405,7 +402,8 @@ class Spheroid(Manifold):
 
         The azimuth is measured clockwise from north.  ``p`` is one (lat, lon)
         point or an array of them, and ``azimuth`` and ``s`` broadcast against
-        its leading shape; the result has that shape plus the last axis of 2.
+        its leading shape; the result has that shape plus the last axis of 2,
+        NaN where an element did not converge.
         """
         p = np.asarray(p, dtype=np.float64)
         shape = np.broadcast_shapes(p.shape[:-1], np.shape(azimuth), np.shape(s))
@@ -457,8 +455,6 @@ class Spheroid(Manifold):
         )
         out = np.column_stack([lat2, lon1 + L])
         out[idx] = np.nan
-        if shape == () and idx.size:
-            raise SpheroidNonConvergence("direct geodesic did not converge")
         return out.reshape(*shape, 2)
 
     def diameter(self):

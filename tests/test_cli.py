@@ -453,6 +453,9 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
     (tmp_path / "off.edges").write_text((tmp_path / "ok.edges").read_text())
     (tmp_path / "off.json").write_text(json.dumps(
         {**sidecar, "coordinates": [[3.0, 0, 0], [0, 3.0, 0], [0, 0, 3.0]]}))
+    # a header vertex count far beyond the sidecar's 3 coordinate rows
+    (tmp_path / "vast.edges").write_text(f"{10**15} 0\n")
+    (tmp_path / "vast.json").write_text((tmp_path / "ok.json").read_text())
     (tmp_path / "tri.edges").write_text("3 3\n0 1\n0 2\n1 2\n")
     (tmp_path / "tri.json").write_text((tmp_path / "ok.json").read_text())
     # coordinates one too narrow or too wide for the manifold
@@ -532,6 +535,10 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
         *[((command, "--graph", tmp_path / "off", *more, "--seed", 1), "InvalidInput",
            f"{tmp_path / 'off'}.json: vertex 0 at [3.0, 0.0, 0.0] does not lie on "
            "Sphere2(radius=1.0)")
+          for command, *more in (("distortion",), ("curvature", "--samples", 50))],
+        *[((command, "--graph", tmp_path / "vast", *more, "--seed", 1), "InvalidInput",
+           f"{tmp_path / 'vast'}.edges: header vertex count {10**15} does not match the 3 "
+           f"coordinate rows of {tmp_path / 'vast'}.json")
           for command, *more in (("distortion",), ("curvature", "--samples", 50))],
         (("fractal", "--level", 2, "--samples", -5, "--seed", 1), "ValueError", "need m >= 1"),
         (("fractal", "--level", 12, "--exact", "--seed", 1), "LevelTooLarge",
@@ -677,3 +684,12 @@ def test_error_exit_json(tmp_path, tiny_graph_prefixes):
         (tmp_path / f"number{k}.json").write_text(json.dumps({**sidecar, key: value}))
         err = cli_error(*wolfram, 1, "--graph", prefix)
         assert (err["error"], err["message"]) == (error, message.format(prefix, key, value))
+    # lengths that are JSON integers too large for a float
+    for key in ("connection_length", "effective_edge_length"):
+        prefix = tmp_path / f"huge_{key}"
+        (tmp_path / f"huge_{key}.edges").write_text((tmp_path / "ok.edges").read_text())
+        (tmp_path / f"huge_{key}.json").write_text(json.dumps({**sidecar, key: 10**400}))
+        for command, *more in (("distortion",), ("curvature", "--samples", 50)):
+            err = cli_error(command, "--graph", prefix, *more, "--seed", 1)
+            assert (err["error"], err["message"]) == ("InvalidInput",
+                                                      length.format(prefix, key, 10**400))

@@ -595,6 +595,17 @@ def test_estimators_refuse_empty_hop_window():
             estimate(rng=np.random.default_rng(7))
 
 
+@pytest.mark.parametrize("estimate", [estimate_curvature, vertex_curvature])
+@pytest.mark.parametrize("l_e", [math.nan, math.inf, 0.0, -0.1])
+def test_estimators_refuse_bad_edge_length(estimate, l_e):
+    # refused before the hop window or any triangle is drawn, not tallied
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=rf"^l_e must be finite and > 0, got {l_e!r}$"):
+        estimate(cycle(12), l_e, 5, rng=rng)
+    assert rng.bit_generator.state == state
+
+
 def test_estimate_curvature_max_length_scale():
     rng = np.random.default_rng(70)
     gg = sprinkle(Sphere2(1.0), 400, 0.25, rng=rng)

@@ -13,24 +13,30 @@ from curvgraph import (
     estimate_earth_radius,
     expected_radius_pdf,
     ks_distance_to_expected,
-    radius_from_curvature,
     sample_spheroid_triangle,
 )
-from curvgraph.errors import (
-    NonPositiveCurvature,
-    SamplingStalled,
-    SpheroidNonConvergence,
-    TooFewAccepted,
-)
+from curvgraph.curvature import solve_triangles
+from curvgraph.errors import SamplingStalled, TooFewAccepted
 from oracles import forward_hypotenuse
 
 
-def test_radius_from_curvature():
-    assert radius_from_curvature(1.0 / 6371.0**2) == pytest.approx(6371.0, rel=1e-12)
-    assert radius_from_curvature(4.0) == 0.5
-    for k in (0.0, -1.0):
-        with pytest.raises(NonPositiveCurvature):
-            radius_from_curvature(k)
+def test_radii_are_inverse_square_roots_of_the_solved_curvatures():
+    # the run's solved K, taken on their way out of solve_triangles; on this
+    # flat spheroid some are negative
+    solved = []
+
+    def solve(*args):
+        solved.append(solve_triangles(*args))
+        return solved[-1]
+
+    with mock.patch.object(earth, "solve_triangles", side_effect=solve):
+        rep = estimate_earth_radius(Spheroid(6378.0, 4000.0), n_samples=400,
+                                    rng=np.random.default_rng(3))
+    ((ks, _),) = solved
+    ks = ks[~np.isnan(ks)].tolist()
+    assert rep.rejected_negative_k == sum(k <= 0 for k in ks) > 0
+    assert [r.hex() for r in rep.radii.tolist()] == [(1.0 / math.sqrt(k)).hex()
+                                                      for k in ks if k > 0]
 
 
 def test_expected_pdf_values():
@@ -151,14 +157,11 @@ def test_ks_distance_of_exact_model_draws():
 
 def _construction(spheroid, mid, theta, leg_a, leg_b):
     """One construction with one-point geodesic calls: its averaged hypotenuse, or None
-    when it is not kept."""
-    try:
-        v = spheroid.direct(mid, theta, leg_b)
-        w = spheroid.direct(mid, theta + math.pi, leg_b)
-        u = spheroid.direct(mid, theta + 0.5 * math.pi, leg_a)
-        c1, c2 = spheroid.distance(u, v), spheroid.distance(u, w)
-    except SpheroidNonConvergence:
-        return None
+    when it is not kept (a geodesic that does not converge gives NaN)."""
+    v = spheroid.direct(mid, theta, leg_b)
+    w = spheroid.direct(mid, theta + math.pi, leg_b)
+    u = spheroid.direct(mid, theta + 0.5 * math.pi, leg_a)
+    c1, c2 = float(spheroid.distance(u, v)), float(spheroid.distance(u, w))
     c = 0.5 * (c1 + c2)
     return c if abs(c1 - c2) <= earth._ASYMMETRY_REL * c else None
 

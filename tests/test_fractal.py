@@ -47,10 +47,10 @@ def test_level_one_by_hand():
 
 
 def test_level_guard():
-    with pytest.raises(LevelTooLarge):
-        sierpinski_graph(13)
-    with pytest.raises(LevelTooLarge):
-        sierpinski_graph(7).all_hops()
+    # the graph itself refuses every level whose all-pairs hops it cannot take
+    for level in (7, 13):
+        with pytest.raises(LevelTooLarge, match="^all-pairs distances limited to level 6$"):
+            sierpinski_graph(level)
 
 
 def test_enumeration_empty_at_level_zero():

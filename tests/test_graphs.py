@@ -291,6 +291,29 @@ def test_sidecar_refuses_non_finite_coordinates(tmp_path, value):
         load_geometric_graph(prefix)
 
 
+def test_sidecar_is_checked_before_the_edge_list(tmp_path):
+    # the header's vertex count is compared with the sidecar's coordinate rows
+    # before any array of its size is built, and a fault in the sidecar, a
+    # missing one included, is reported before one in the edge list
+    manifold = Sphere2(1.0)
+    points = manifold.sample_points(3, np.random.default_rng(0))
+    prefix, edges = tmp_path / "g", tmp_path / "g.edges"
+    save_geometric_graph(GeometricGraph(path(3), manifold, points, 1.0, 0.25), prefix)
+    edges.write_text(f"{10**15} 0\n")
+    with pytest.raises(InvalidInput, match=r"g\.edges: header vertex count 1000000000000000 "
+                                           r"does not match the 3 coordinate rows of .*g\.json$"):
+        load_geometric_graph(prefix)
+    points[1] *= 3.0
+    save_geometric_graph(GeometricGraph(path(3), manifold, points, 1.0, 0.25), prefix)
+    edges.write_text("3 x\n")
+    with pytest.raises(InvalidInput, match=r"g\.json: vertex 1 at .* does not lie on "):
+        load_geometric_graph(prefix)
+    edges.unlink()
+    (tmp_path / "g.json").unlink()
+    with pytest.raises(FileNotFoundError, match=r"g\.json"):
+        load_geometric_graph(prefix)
+
+
 # (manifold, a point at its bound, two points just past it or far off it)
 ON_MANIFOLD_BOUNDS = [
     (Sphere2(2.0), [0.0, 0.0, 2.0], ([0.0, 0.0, 2.0 * (1 + 1e-8)], [0.0, 6.0, 0.0])),

@@ -362,6 +362,21 @@ def test_spheroid_array_direct_round_trip():
         assert sph.distance(p[i], q[i]) == d[i]
 
 
+def test_spheroid_one_point_calls_answer_nan():
+    # a one-point call answers as an array, NaN where the element does not
+    # converge; only distances_from raises for such a pair
+    p, q = np.array([0.0, 0.0]), np.array([0.0, math.pi - 1e-3])  # near-antipodal
+    sph = Spheroid(6378.0, 6357.0)
+    d = sph.distance(p, q)
+    assert isinstance(d, np.ndarray) and d.shape == () and np.isnan(d)
+    with pytest.raises(SpheroidNonConvergence):
+        sph.distances_from(p, q[None])
+    # Vincenty's direct series does not converge due north on a very flat spheroid
+    flat = Spheroid(6378.0, 3000.0)
+    out = flat.direct(p, 0.0, 4000.0)
+    assert out.shape == (2,) and np.isnan(out).all()
+
+
 def test_spheroid_with_equal_axes_is_the_sphere():
     # Spheroid(r, r) against Sphere2's great-circle distance and direct formulas
     r = 6371.0

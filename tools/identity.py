@@ -66,11 +66,18 @@ def _cases():
                                     "--seed", "1"]]),
         # every draw rejected: TooFewAccepted names the tally in its order
         ("earth-too-few-1", [["earth", "--samples", "200", "--max-length", "1", "--seed", "1"]]),
+        # a flat spheroid: some triangles solve to K <= 0 and count as rejectedNegativeK
+        ("earth-polar-4000-1", [["earth", "--samples", "1000", "--polar", "4000", "--out", "radii",
+                                 "--seed", "1"]]),
         ("fractal-scaled-1", [["fractal", "--level", "3", "--samples", "500", "--edge-scale",
                                "0.5", "--out", "k", "--seed", "1"]]),
     ]
     cases += [
         ("fractal-exact-1", [["fractal", "--level", "5", "--exact", "--out", "k", "--seed", "1"]]),
+        ("fractal-exact-6", [["fractal", "--level", "6", "--exact", "--out", "k", "--seed", "1"]]),
+        # levels above 6 are refused before anything is built
+        ("fractal-level-7", [["fractal", "--level", "7", "--exact", "--seed", "1"]]),
+        ("fractal-level-13", [["fractal", "--level", "13", "--exact", "--seed", "1"]]),
         ("fractal-sampled-1", [["fractal", "--level", "4", "--samples", "5000", "--seed", "1"]]),
         ("converge-1", [["converge", "--manifold", SPHERE, "--true-k", "1", "--counts", "200,300",
                          "--seeds-per", "2", "--samples", "100", "--csv", "sweep.csv",
